@@ -20,9 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -134,6 +132,7 @@ struct RunOutcome
     double gteps = 0;
     Engine::Stats engine;    //!< engine activity counters of the run
     double wall_seconds = 0; //!< wall-clock time of Accelerator::run()
+    bool full_tick = false;  //!< ran on the legacy full-tick engine
 };
 
 /**
@@ -213,121 +212,6 @@ writeReportAtomically(const std::string& path, const JsonReport& report)
     return true;
 }
 
-/**
- * Accumulates simulator-speed numbers across every runOn() call of a
- * bench process — split into idle-aware and legacy full-tick buckets —
- * and writes them as BENCH_engine.json (or $GMOMS_BENCH_ENGINE_JSON)
- * at process exit, via temp-file-then-rename so the file is never
- * observed half-written. When both engine modes ran in the same
- * process the report includes their cycles/sec ratio ("speedup").
- * Benches may attach extra pre-serialized sections (the tick-thread
- * sweep and checkpoint-latency records of bench_engine) with
- * addSection().
- */
-class EngineBenchRecorder
-{
-  public:
-    static EngineBenchRecorder&
-    instance()
-    {
-        static EngineBenchRecorder recorder;
-        return recorder;
-    }
-
-    void
-    add(const Engine::Stats& stats, double wall_seconds, bool full_tick)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        Bucket& b = full_tick ? full_ : idle_;
-        ++b.runs;
-        b.stats.cycles += stats.cycles;
-        b.stats.cycles_skipped += stats.cycles_skipped;
-        b.stats.ticks_executed += stats.ticks_executed;
-        b.stats.ticks_skipped += stats.ticks_skipped;
-        b.stats.wakes += stats.wakes;
-        b.wall_seconds += wall_seconds;
-    }
-
-    /** Attach a pre-serialized JSON value under @p key in the final
-     *  report (bench-specific sections: "tick_threads",
-     *  "checkpoint"). Last write per key wins. */
-    void
-    addSection(const std::string& key, std::string json)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto& [k, v] : sections_)
-            if (k == key) {
-                v = std::move(json);
-                return;
-            }
-        sections_.emplace_back(key, std::move(json));
-    }
-
-    ~EngineBenchRecorder()
-    {
-        if (idle_.runs == 0 && full_.runs == 0 && sections_.empty())
-            return;
-        const char* env = std::getenv("GMOMS_BENCH_ENGINE_JSON");
-        const std::string path = env ? env : "BENCH_engine.json";
-        JsonReport report;
-        // Wall-clock context for the parallel-tick numbers: speedup on
-        // a 1-core host is not a code defect, and consumers need to
-        // know which they are looking at.
-        report.set("host_cpus",
-                   static_cast<std::uint64_t>(
-                       std::thread::hardware_concurrency()));
-        appendBucket(report, "idle", idle_);
-        appendBucket(report, "full_tick", full_);
-        if (idle_.runs > 0 && full_.runs > 0 &&
-            idle_.wall_seconds > 0 && full_.wall_seconds > 0) {
-            const double idle_rate =
-                static_cast<double>(idle_.stats.cycles) /
-                idle_.wall_seconds;
-            const double full_rate =
-                static_cast<double>(full_.stats.cycles) /
-                full_.wall_seconds;
-            if (full_rate > 0)
-                report.set("speedup", idle_rate / full_rate);
-        }
-        for (const auto& [key, json] : sections_)
-            report.set(key, JsonReport::Raw{json});
-        writeReportAtomically(path, report);
-    }
-
-  private:
-    struct Bucket
-    {
-        std::uint64_t runs = 0;
-        Engine::Stats stats;
-        double wall_seconds = 0;
-    };
-
-    static void
-    appendBucket(JsonReport& report, const std::string& prefix,
-                 const Bucket& b)
-    {
-        if (b.runs == 0)
-            return;
-        report.set(prefix + "_runs", b.runs);
-        report.set(prefix + "_sim_cycles", b.stats.cycles)
-            .set(prefix + "_cycles_skipped", b.stats.cycles_skipped)
-            .set(prefix + "_ticks_executed", b.stats.ticks_executed)
-            .set(prefix + "_ticks_skipped", b.stats.ticks_skipped)
-            .set(prefix + "_wakes", b.stats.wakes)
-            .set(prefix + "_wall_seconds", b.wall_seconds)
-            .set(prefix + "_cycles_per_sec",
-                 b.wall_seconds > 0
-                     ? static_cast<double>(b.stats.cycles) /
-                           b.wall_seconds
-                     : 0.0);
-    }
-
-    std::mutex mu_;  //!< add() is called from sweep workers
-    Bucket idle_;
-    Bucket full_;
-    std::vector<std::pair<std::string, std::string>> sections_;
-};
-
 /** Run @p cfg on @p g through a Session; weights are added (to a
  *  session-local copy — @p g is shared between sweep workers) when the
  *  kernel needs them. */
@@ -355,8 +239,7 @@ runOn(const CooGraph& g, const std::string& algo, AccelConfig cfg)
     out.wall_seconds = res.wall_seconds;
     out.freq_mhz = res.fmax_mhz;
     out.gteps = res.gteps;
-    EngineBenchRecorder::instance().add(out.engine, out.wall_seconds,
-                                        res.full_tick);
+    out.full_tick = res.full_tick;
     return out;
 }
 

@@ -6,14 +6,15 @@
  * cache-less MOMS configurations, the slowest points of
  * ablation_die_crossing and fig12_hitrate) under both engine modes,
  * checks bit-exact cycle/result agreement, and reports wall-clock
- * speedup. Two further sections cover this layer's other speed knobs:
- * a tick-thread sweep (AccelConfig::tick_threads in {1,2,4,8} on the
- * Fig. 11 reference design point, asserting bit-exact results at every
- * count) and checkpoint capture/restore/fork latency. The
- * EngineBenchRecorder in bench_common.hh writes all aggregate numbers
- * — including host_cpus, without which the tick-thread speedups cannot
- * be interpreted — to BENCH_engine.json at exit, atomically.
+ * speedup. Further sections cover the telemetry and hardening overhead
+ * contracts and checkpoint capture/restore/fork latency. main() owns
+ * the EngineRecord below and writes it once, atomically, as
+ * BENCH_engine.json ($GMOMS_BENCH_ENGINE_JSON overrides the path); no
+ * other binary writes that file. Exits 1 if any bit-exactness check
+ * fails.
  */
+
+#include <thread>
 
 #include "bench/bench_common.hh"
 #include "src/accel/checkpoint.hh"
@@ -21,9 +22,84 @@
 using namespace gmoms;
 using namespace gmoms::bench;
 
+namespace
+{
+
+/**
+ * Simulator-speed record of the head-to-head section: its runs summed
+ * into one bucket per engine mode, plus the idle/full-tick
+ * cycles-per-second ratio ("speedup") when both modes ran.
+ */
+class EngineRecord
+{
+  public:
+    void
+    add(const RunOutcome& o)
+    {
+        Bucket& b = o.full_tick ? full_ : idle_;
+        ++b.runs;
+        b.stats.cycles += o.engine.cycles;
+        b.stats.cycles_skipped += o.engine.cycles_skipped;
+        b.stats.ticks_executed += o.engine.ticks_executed;
+        b.stats.ticks_skipped += o.engine.ticks_skipped;
+        b.stats.wakes += o.engine.wakes;
+        b.wall_seconds += o.wall_seconds;
+    }
+
+    void
+    appendTo(JsonReport& report) const
+    {
+        appendBucket(report, "idle", idle_);
+        appendBucket(report, "full_tick", full_);
+        const double idle_rate = idle_.cyclesPerSec();
+        const double full_rate = full_.cyclesPerSec();
+        if (idle_rate > 0 && full_rate > 0)
+            report.set("speedup", idle_rate / full_rate);
+    }
+
+  private:
+    struct Bucket
+    {
+        std::uint64_t runs = 0;
+        Engine::Stats stats;
+        double wall_seconds = 0;
+
+        double
+        cyclesPerSec() const
+        {
+            return wall_seconds > 0
+                       ? static_cast<double>(stats.cycles) / wall_seconds
+                       : 0.0;
+        }
+    };
+
+    static void
+    appendBucket(JsonReport& report, const std::string& prefix,
+                 const Bucket& b)
+    {
+        if (b.runs == 0)
+            return;
+        report.set(prefix + "_runs", b.runs)
+            .set(prefix + "_sim_cycles", b.stats.cycles)
+            .set(prefix + "_cycles_skipped", b.stats.cycles_skipped)
+            .set(prefix + "_ticks_executed", b.stats.ticks_executed)
+            .set(prefix + "_ticks_skipped", b.stats.ticks_skipped)
+            .set(prefix + "_wakes", b.stats.wakes)
+            .set(prefix + "_wall_seconds", b.wall_seconds)
+            .set(prefix + "_cycles_per_sec", b.cyclesPerSec());
+    }
+
+    Bucket idle_;
+    Bucket full_;
+};
+
+} // namespace
+
 int
 main()
 {
+    EngineRecord record;
+
     std::printf("=== Engine speed: idle-aware vs legacy full-tick "
                 "===\n\n");
 
@@ -83,10 +159,12 @@ main()
         AccelConfig full = w.config;
         full.full_tick_engine = true;
         RunOutcome f = runOn(g, w.algo, full);
+        record.add(f);
 
         AccelConfig idle = w.config;
         idle.full_tick_engine = false;
         RunOutcome i = runOn(g, w.algo, idle);
+        record.add(i);
 
         if (f.result.cycles != i.result.cycles ||
             f.result.raw_values != i.result.raw_values) {
@@ -217,75 +295,14 @@ main()
                     : "CHECKS CHANGED RESULTS — the hardening layer is "
                       "not observation-only");
 
-    // Parallel-tick contract (docs/MODEL.md "Deterministic parallel
-    // ticking & checkpoints"): any tick_threads value is bit-identical
-    // to serial; the speedup depends on host cores (host_cpus in the
-    // JSON — on a 1-core CI runner the barrier only costs).
-    std::printf("\n=== Parallel ticking: tick-thread sweep "
-                "(Fig. 11 reference, 18/16 two-level 2k) ===\n");
+    // Checkpoint latency: what the serving layer pays to save a warm
+    // session once versus forking it per job.
     const AccelConfig ref_cfg =
         AccelConfig::preset(MomsConfig::twoLevel(16, 2048), /*pes=*/18,
                             /*channels=*/4);
     const CooGraph& ref_g = *loadDataset("WT");
-
-    Table tick_table(
-        {"threads", "cycles", "wall s", "Mcyc/s", "speedup", "exact"});
-    bool tick_exact = true;
-    RunOutcome serial;
-    double serial_rate = 0;
-    std::string tick_json = "[";
-    const unsigned kThreadCounts[] = {1, 2, 4, 8};
-    for (unsigned t : kThreadCounts) {
-        AccelConfig cfg = ref_cfg;
-        cfg.tick_threads = t;
-        RunOutcome o = runOn(ref_g, "PageRank", cfg);
-        const bool same =
-            t == 1 || (o.result.cycles == serial.result.cycles &&
-                       o.result.raw_values == serial.result.raw_values);
-        if (t == 1)
-            serial = o;
-        if (!same) {
-            std::printf("MISMATCH at tick_threads=%u: results differ "
-                        "from serial\n", t);
-            tick_exact = false;
-        }
-        const double rate =
-            o.wall_seconds > 0
-                ? static_cast<double>(o.result.cycles) / o.wall_seconds
-                : 0.0;
-        if (t == 1)
-            serial_rate = rate;
-        const double speedup = serial_rate > 0 ? rate / serial_rate : 0;
-        tick_table.addRow({std::to_string(t),
-                           std::to_string(o.result.cycles),
-                           fmt(o.wall_seconds, 2), fmt(rate / 1e6, 3),
-                           fmt(speedup, 2) + "x", same ? "yes" : "NO"});
-        JsonReport row;
-        row.set("threads", static_cast<std::uint64_t>(t))
-            .set("cycles", static_cast<std::uint64_t>(o.result.cycles))
-            .set("wall_seconds", o.wall_seconds)
-            .set("cycles_per_sec", rate)
-            .set("speedup_vs_serial", speedup)
-            .set("exact", same);
-        if (tick_json.size() > 1)
-            tick_json += ",";
-        tick_json += row.str();
-    }
-    tick_json += "]";
-    EngineBenchRecorder::instance().addSection("tick_threads",
-                                               tick_json);
-    tick_table.print();
-    std::printf("\n%s.\n",
-                tick_exact
-                    ? "Every thread count reproduced the serial run "
-                      "bit-for-bit"
-                    : "PARALLEL TICKING CHANGED RESULTS — the tick-"
-                      "group contract is broken");
-
-    // Checkpoint latency: what the serving layer pays to save a warm
-    // session once versus forking it per job.
     std::printf("\n=== Warm-session checkpoint: capture / restore / "
-                "fork ===\n");
+                "fork (Fig. 11 reference, 18/16 two-level 2k) ===\n");
     Session warm = SessionBuilder()
                        .datasetView(ref_g)
                        .config(ref_cfg)
@@ -319,8 +336,18 @@ main()
         .set("forks_timed", static_cast<std::uint64_t>(kForks))
         .set("resident_bytes",
              static_cast<std::uint64_t>(cp.residentBytes()));
-    EngineBenchRecorder::instance().addSection("checkpoint",
-                                               ckpt.str());
 
-    return exact && tele_exact && check_exact && tick_exact ? 0 : 1;
+    JsonReport report;
+    report.set("host_cpus", static_cast<std::uint64_t>(
+                                std::thread::hardware_concurrency()));
+    record.appendTo(report);
+    report.set("checkpoint", JsonReport::Raw{ckpt.str()});
+    const char* env = std::getenv("GMOMS_BENCH_ENGINE_JSON");
+    const std::string path = env ? env : "BENCH_engine.json";
+    if (writeReportAtomically(path, report))
+        std::printf("\nwrote %s\n", path.c_str());
+    else
+        std::printf("\ncould not write %s\n", path.c_str());
+
+    return exact && tele_exact && check_exact ? 0 : 1;
 }

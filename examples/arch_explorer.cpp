@@ -7,9 +7,13 @@
  *
  * Usage:
  *   example_arch_explorer [algo] [dataset-tag] [--json]
- *                         [--telemetry] [--trace=FILE]
+ *                         [--telemetry] [--trace=FILE] [--help]
  *     algo:    PageRank | SCC | SSSP        (default SCC)
  *     dataset: WT DB UK IT SK MP RV FR WB 24 25 26  (default 24)
+ *
+ * Arguments are checked before anything is built: --help prints the
+ * usage and exits 0; an unknown flag, algorithm or dataset tag prints
+ * it to stderr and exits 2.
  *
  * --telemetry adds each design point's top bottleneck (stall group and
  * cause) to the report; --trace=FILE additionally writes all runs into
@@ -37,6 +41,31 @@ using namespace gmoms;
 namespace
 {
 
+constexpr const char* kUsage =
+    "usage: example_arch_explorer [algo] [dataset-tag] [--json]\n"
+    "                             [--telemetry] [--trace=FILE] [--help]\n"
+    "  algo:    PageRank | SCC | SSSP        (default SCC)\n"
+    "  dataset: WT DB UK IT SK MP RV FR WB 24 25 26  (default 24)\n";
+
+/** Print @p problem and the usage to stderr; the exit code for bad
+ *  arguments. */
+int
+usageError(const std::string& problem)
+{
+    std::fprintf(stderr, "example_arch_explorer: %s\n%s",
+                 problem.c_str(), kUsage);
+    return 2;
+}
+
+bool
+knownDatasetTag(const std::string& tag)
+{
+    for (const DatasetProfile& p : table2Profiles())
+        if (p.tag == tag)
+            return true;
+    return false;
+}
+
 /** Probe spec for the resource/frequency model (the actual run goes
  *  through the Session, which builds its own spec). */
 AlgoSpec
@@ -62,21 +91,34 @@ main(int argc, char** argv)
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--json")
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else if (arg == "--json") {
             json = true;
-        else if (arg == "--telemetry")
+        } else if (arg == "--telemetry") {
             telemetry = true;
-        else if (arg.rfind("--trace=", 0) == 0) {
+        } else if (arg.rfind("--trace=", 0) == 0) {
             trace_path = arg.substr(8);
+            if (trace_path.empty())
+                return usageError("--trace= needs a file name");
             telemetry = true;
+        } else if (arg.rfind("-", 0) == 0) {
+            return usageError("unknown flag '" + arg + "'");
         } else {
             positional.push_back(arg);
         }
     }
+    if (positional.size() > 2)
+        return usageError("unexpected argument '" + positional[2] + "'");
     if (positional.size() > 0)
         algo = positional[0];
     if (positional.size() > 1)
         tag = positional[1];
+    if (algo != "PageRank" && algo != "SCC" && algo != "SSSP")
+        return usageError("unknown algorithm '" + algo + "'");
+    if (!knownDatasetTag(tag))
+        return usageError("unknown dataset tag '" + tag + "'");
 
     // Preprocess once; every design point's session shares the graph
     // (SSSP sessions add their own deterministic weights, seed 7).

@@ -10,8 +10,8 @@
  * Key: `dataset|prep|algo|source|iterations|configFingerprint` — every
  * input that can change the result summary. configFingerprint()
  * (src/accel/checkpoint.hh) covers the resolved AccelConfig including
- * cluster topology, and deliberately *ignores* the bit-exactness knobs
- * (tick_threads, full_tick_engine): a result cached under one engine
+ * cluster topology, and deliberately *ignores* the bit-exact engine
+ * mode knob (full_tick_engine): a result cached under one engine
  * mode is valid under the other because the engine-equivalence tests
  * pin them bit-identical. The cached value is the full JobRecord result
  * summary (cycles, edges, DRAM bytes, gteps, values_checksum, replay

@@ -99,23 +99,6 @@ TEST(Cluster, ChecksumIdenticalToSingleBoardAcrossBoardsAndModes)
     }
 }
 
-TEST(Cluster, ChecksumInvariantUnderTickThreads)
-{
-    const CooGraph g = rmat(9, 5000, RmatParams{}, 41);
-    std::uint64_t want = 0;
-    for (unsigned threads : {1u, 2u, 8u}) {
-        AccelConfig cfg =
-            clusterConfig(4, ClusterConfig::Mode::Bsp);
-        cfg.tick_threads = threads;
-        const SessionResult res = runAlgo(g, cfg, "BFS");
-        if (threads == 1)
-            want = checksum(res);
-        else
-            EXPECT_EQ(checksum(res), want)
-                << "tick_threads=" << threads;
-    }
-}
-
 TEST(Cluster, IterationCapTruncationKeepsCanonicalValues)
 {
     // An SSSP stopped by max_iterations before the wavefront settles

@@ -153,10 +153,9 @@ TEST_F(HbmFixture, RequestsMayNotCrossTheInterleaveUnit)
 
 RunResult
 runAccel(const CooGraph& g, const AlgoSpec& spec, AccelConfig cfg,
-         bool full_tick = false, unsigned tick_threads = 0)
+         bool full_tick = false)
 {
     cfg.full_tick_engine = full_tick;
-    cfg.tick_threads = tick_threads;
     PartitionedGraph pg(g, 256, 512);
     Accelerator accel(cfg, pg, spec);
     return accel.run();
@@ -198,22 +197,6 @@ TEST(HbmSystem, EngineModesBitExact)
     EXPECT_EQ(full.dram_bytes_written, idle.dram_bytes_written);
     EXPECT_EQ(full.moms_requests, idle.moms_requests);
     EXPECT_EQ(full.pe_raw_stalls, idle.pe_raw_stalls);
-}
-
-TEST(HbmSystem, TickThreadsBitExact)
-{
-    CooGraph g = uniformRandom(900, 6000, 23);
-    addRandomWeights(g, 5);
-    const AlgoSpec spec = AlgoSpec::sssp(0, 6);
-    const RunResult serial = runAccel(g, spec, smallHbm(), false, 1);
-    for (unsigned threads : {2u, 4u}) {
-        const RunResult par =
-            runAccel(g, spec, smallHbm(), false, threads);
-        EXPECT_EQ(serial.cycles, par.cycles)
-            << "tick_threads=" << threads;
-        EXPECT_EQ(serial.raw_values, par.raw_values)
-            << "tick_threads=" << threads;
-    }
 }
 
 TEST(HbmSystem, ValidateRules)

@@ -180,31 +180,28 @@ TEST(ResultCacheUnit, RefreshIsIdempotent)
 
 TEST(ServiceResultCache, HitsAcrossEngineModeAndTickThreads)
 {
-    // configFingerprint() deliberately ignores full_tick_engine and
-    // tick_threads (both pinned bit-identical by the engine-equivalence
-    // tests), so one cold run must serve repeats under every mode.
+    // configFingerprint() deliberately ignores full_tick_engine (pinned
+    // bit-identical by the engine-equivalence tests), so one cold run
+    // must serve repeats under either engine mode.
     const std::uint64_t golden = coldChecksum(tinyJob("a", "PageRank"));
 
     ServiceConfig cfg;
     cfg.workers = 2;
     GraphService service(cfg);
 
-    // Cold run under the default engine (full_tick=false, threads=0).
+    // Cold run under the default idle-aware engine.
     const auto cold = service.submit(tinyJob("a", "PageRank"));
     ASSERT_TRUE(cold.ok());
     EXPECT_FALSE(cold.from_cache);
     service.drain();
 
     const bool full_tick[] = {false, true, true, false};
-    const unsigned threads[] = {0, 0, 2, 2};
     for (int i = 0; i < 4; ++i) {
         JobSpec spec = tinyJob("a", "PageRank");
         spec.config->full_tick_engine = full_tick[i];
-        spec.config->tick_threads = threads[i];
         const auto sub = service.submit(spec);
         ASSERT_TRUE(sub.ok());
-        EXPECT_TRUE(sub.from_cache)
-            << "full_tick=" << full_tick[i] << " threads=" << threads[i];
+        EXPECT_TRUE(sub.from_cache) << "full_tick=" << full_tick[i];
         const auto rec = service.poll(sub.id);
         ASSERT_TRUE(rec.has_value());
         EXPECT_EQ(rec->state, JobState::Completed);
