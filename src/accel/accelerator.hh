@@ -40,12 +40,6 @@ struct RunResult
     std::uint64_t moms_secondary_misses = 0;
     std::uint64_t moms_lines_from_mem = 0;
     std::uint64_t pe_raw_stalls = 0;
-    /** Whether the packed half-word edge encoding was in effect (false
-     *  also when requested but ineligible — the silent fallback), and
-     *  the resulting edge-section footprint. Deterministic layout
-     *  properties, unlike the timing-dependent byte counters above. */
-    bool packed_layout = false;
-    std::uint64_t edge_section_bytes = 0;
     /** Final raw V_DRAM node values. */
     std::vector<std::uint32_t> raw_values;
 

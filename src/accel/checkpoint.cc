@@ -60,7 +60,6 @@ configFingerprint(const AccelConfig& cfg)
     f.mix(static_cast<std::uint64_t>(cfg.mem.kind));
     f.mix(cfg.mem.channels);
     f.mix(cfg.mem.interleave_bytes);
-    f.mix(cfg.packed_edges ? 1 : 0);
     f.mix(cfg.nd);
     f.mix(cfg.ns);
     f.mix(cfg.max_threads);

@@ -405,67 +405,24 @@ Pe::tickStream()
     // 3. Decode and issue at most one edge.
     if (!decode_q_.empty()) {
         EdgeSegment& seg = decode_q_.front();
-        bool have_edge = false;
-        std::uint32_t dst_off = 0, src_off = 0, weight = 0, advance = 0;
-        if (job_.packed) {
-            // Packed half-word CSR: the cursor counts 16-bit
-            // half-words. Padding and selector half-words are consumed
-            // instantly (the hardware decodes a whole 512-bit line at
-            // once); only source half-words take the one-edge-per-
-            // cycle issue slot below.
-            const std::uint32_t halves = 2 * seg.words;
-            const auto half = [&](std::uint32_t h) {
-                const std::uint32_t w =
-                    store_->read32(seg.addr + 4ull * (h / 2));
-                return static_cast<std::uint16_t>(h % 2 ? w >> 16
-                                                        : w & 0xffffu);
-            };
-            while (seg.cursor < halves) {
-                const std::uint16_t hw = half(seg.cursor);
-                if (packedcsr::isPad(hw)) {
-                    ++seg.cursor;
-                } else if (packedcsr::isSelector(hw)) {
-                    seg.open_dst = packedcsr::dstOff(hw);
-                    seg.has_open_dst = true;
-                    ++seg.cursor;
-                } else {
-                    break;
-                }
-            }
-            if (seg.cursor >= halves) {
-                decode_q_.pop_front();
-            } else {
-                if (!seg.has_open_dst)
-                    panic("packed CSR line starts without a selector");
-                dst_off = seg.open_dst;
-                src_off = packedcsr::srcOff(half(seg.cursor));
-                weight = spec_->weighted ? half(seg.cursor + 1) : 0;
-                advance = spec_->weighted ? 2 : 1;
-                have_edge = true;
-            }
+        // Discard terminating/padding words instantly (the hardware
+        // drops the remainder of the last 512-bit word).
+        while (seg.cursor < seg.words &&
+               edgeword::isTerminating(
+                   store_->read32(seg.addr + 4ull * seg.cursor)))
+            ++seg.cursor;
+        if (seg.cursor >= seg.words) {
+            decode_q_.pop_front();
         } else {
-            // Discard terminating/padding words instantly (the
-            // hardware drops the remainder of the last 512-bit word).
-            while (seg.cursor < seg.words &&
-                   edgeword::isTerminating(
-                       store_->read32(seg.addr + 4ull * seg.cursor)))
-                ++seg.cursor;
-            if (seg.cursor >= seg.words) {
-                decode_q_.pop_front();
-            } else {
-                const std::uint32_t word =
-                    store_->read32(seg.addr + 4ull * seg.cursor);
-                dst_off = edgeword::dstOff(word);
-                src_off = edgeword::srcOff(word);
-                weight = spec_->weighted
-                             ? store_->read32(seg.addr +
-                                              4ull * (seg.cursor + 1))
-                             : 0;
-                advance = spec_->weighted ? 2 : 1;
-                have_edge = true;
-            }
-        }
-        if (have_edge) {
+            const std::uint32_t word =
+                store_->read32(seg.addr + 4ull * seg.cursor);
+            const std::uint32_t dst_off = edgeword::dstOff(word);
+            const std::uint32_t src_off = edgeword::srcOff(word);
+            const std::uint32_t weight =
+                spec_->weighted
+                    ? store_->read32(seg.addr + 4ull * (seg.cursor + 1))
+                    : 0;
+            const std::uint32_t advance = spec_->weighted ? 2 : 1;
             const NodeId src =
                 static_cast<NodeId>(seg.s) * cfg_->ns + src_off;
 

@@ -44,7 +44,6 @@ Scheduler::pull()
     job.v_const_base =
         layout_->hasConst() ? layout_->vConstAddr(job.base) : 0;
     job.ptr_base = layout_->ptrAddr(0, d);
-    job.packed = layout_->packed();
     return job;
 }
 

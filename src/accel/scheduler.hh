@@ -32,7 +32,6 @@ struct Job
     Addr v_out_base = 0;      //!< V_DRAM,out base of this interval
     Addr v_const_base = 0;    //!< V_const base (0 when unused)
     Addr ptr_base = 0;        //!< first edge-pointer entry of the job
-    bool packed = false;      //!< shards use the packed half-word CSR
 };
 
 class Scheduler

@@ -30,13 +30,10 @@ Session::Session(std::shared_ptr<const CooGraph> graph,
     // identity permutation is kept implicit (empty vectors): sweeps
     // construct a Session per run, and two O(N) id tables per run is
     // real cost on multi-million-node datasets.
-    // The packed variants request the half-word CSR edge encoding on
-    // top of their base relabeling; the flag rides on the config so it
-    // reaches layouts, fingerprints and checkpoints uniformly.
-    if (packedCsr(preprocessing))
-        config_.packed_edges = true;
     std::vector<NodeId> perm;
-    switch (basePreprocessing(preprocessing)) {
+    switch (preprocessing) {
+      case Preprocessing::None:
+        break;
       case Preprocessing::Hash:
         perm = hashCacheLines(src_->numNodes(), nd);
         break;
@@ -49,8 +46,6 @@ Session::Session(std::shared_ptr<const CooGraph> graph,
             dbg, hashCacheLines(src_->numNodes(), nd));
         break;
       }
-      default:
-        break;
     }
     if (!perm.empty()) {
         std::vector<NodeId> inv(src_->numNodes());

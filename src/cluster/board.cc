@@ -32,7 +32,6 @@ Board::Board(Engine& engine, const AccelConfig& cfg, const AlgoSpec& spec,
     GraphLayout::Options opts;
     opts.has_const = spec_.has_const;
     opts.synchronous = spec_.synchronous;
-    opts.packed = cfg_.packed_edges;
     opts.init_value = [this](NodeId local) {
         const NodeId g = shard_->to_global[local];
         return g == kNoGlobalId ? 0u : spec_.initialValue(g);

@@ -411,10 +411,9 @@ runCluster(const AccelConfig& cfg, const CooGraph& g,
     }
     // Empirical bound on f32 arrival-order drift: a degenerate hub
     // graph funnels thousands of same-magnitude adds into one
-    // accumulator, and the packed edge encoding shifts DMA timing (and
-    // with it the gather order) relative to the plain stream — both
-    // together reach ~1e-3. Anything past 5e-3 is a real bug, not
-    // reassociation noise.
+    // accumulator, and the cluster's DMA and link timing decide the
+    // gather order, so the sum reassociates. Anything past 5e-3 is a
+    // real bug, not reassociation noise.
     if (max_rel > 5e-3)
         fatal("cluster verification: timed PageRank deviates " +
               std::to_string(max_rel) +

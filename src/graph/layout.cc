@@ -1,91 +1,9 @@
 #include "src/graph/layout.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "src/sim/log.hh"
 
 namespace gmoms
 {
-
-namespace
-{
-
-/**
- * Encode one shard in the packed half-word CSR: edges grouped by
- * destination (stable, so the per-destination source order matches
- * the plain encoding and synchronous float accumulation stays
- * bit-identical), destination groups opened by selectors, lines kept
- * self-contained (see packedcsr in layout.hh). Returns the half-word
- * stream padded to whole 64-byte lines; deterministic, so the layout
- * constructor (sizing) and build() (content) agree exactly.
- */
-std::vector<std::uint16_t>
-packShard(const PartitionedGraph& pg, std::uint32_t s, std::uint32_t d,
-          bool weighted)
-{
-    const auto span = pg.shardEdges(s, d);
-    std::vector<Edge> edges(span.begin(), span.end());
-    std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge& a, const Edge& b) {
-                         return a.dst < b.dst;
-                     });
-
-    constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
-    const std::uint32_t src_units = weighted ? 2 : 1;
-    const NodeId dst_base = pg.dstIntervalBase(d);
-    const NodeId src_base = static_cast<NodeId>(s) * pg.ns();
-
-    std::vector<std::uint16_t> out;
-    out.reserve((edges.size() + hpl) * (src_units + 1));
-    std::uint32_t open_dst = ~0u;
-    for (const Edge& e : edges) {
-        const std::uint32_t dst_off = e.dst - dst_base;
-        const std::uint32_t src_off = e.src - src_base;
-        const std::uint32_t pos = out.size() % hpl;
-        // Lines are self-contained: re-open the destination group at
-        // every line start.
-        bool need_sel = pos == 0 || dst_off != open_dst;
-        if (hpl - pos < (need_sel ? 1 : 0) + src_units) {
-            while (out.size() % hpl != 0)
-                out.push_back(packedcsr::kPad);
-            need_sel = true;
-        }
-        if (need_sel) {
-            out.push_back(packedcsr::selector(dst_off));
-            open_dst = dst_off;
-        }
-        out.push_back(packedcsr::source(src_off));
-        if (weighted)
-            out.push_back(static_cast<std::uint16_t>(e.weight));
-    }
-    // Tail padding; an empty shard still gets one all-pad line so its
-    // edge pointer never carries size zero.
-    if (out.empty())
-        out.push_back(packedcsr::kPad);
-    while (out.size() % hpl != 0)
-        out.push_back(packedcsr::kPad);
-    return out;
-}
-
-/** Whether the packed encoding can represent @p pg (15-bit offsets,
- *  a reserved all-ones pad word, 16-bit weights). */
-bool
-packEligible(const PartitionedGraph& pg)
-{
-    if (pg.ns() > 32768 || pg.nd() > 32767)
-        return false;
-    if (pg.weighted()) {
-        for (std::uint32_t d = 0; d < pg.qd(); ++d)
-            for (std::uint32_t s = 0; s < pg.qs(); ++s)
-                for (const Edge& e : pg.shardEdges(s, d))
-                    if (e.weight > 0xffffu)
-                        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 GraphLayout::GraphLayout(const PartitionedGraph& pg, const Options& opts)
     : has_const_(opts.has_const), synchronous_(opts.synchronous),
@@ -113,23 +31,14 @@ GraphLayout::GraphLayout(const PartitionedGraph& pg, const Options& opts)
     }
 
     edge_base_ = cursor;
-    packed_ = opts_.packed && packEligible(pg);
+    const std::uint32_t words_per_edge = weighted_ ? 2 : 1;
+    // Each shard: its edges, one terminating edge, padded to 64 B.
     std::uint64_t edge_words = 0;
-    if (packed_) {
-        // Exact packed size: the encoder is deterministic, so build()
-        // will reproduce these shard extents half-word for half-word.
-        for (std::uint32_t d = 0; d < qd_; ++d)
-            for (std::uint32_t s = 0; s < qs_; ++s)
-                edge_words += packShard(pg, s, d, weighted_).size() / 2;
-    } else {
-        const std::uint32_t words_per_edge = weighted_ ? 2 : 1;
-        // Each shard: its edges, one terminating edge, padded to 64 B.
-        for (std::uint32_t d = 0; d < qd_; ++d) {
-            for (std::uint32_t s = 0; s < qs_; ++s) {
-                const std::uint64_t w =
-                    (pg.shardSize(s, d) + 1) * words_per_edge;
-                edge_words += ceilDiv(w, 16) * 16;  // 16 words = 64 B
-            }
+    for (std::uint32_t d = 0; d < qd_; ++d) {
+        for (std::uint32_t s = 0; s < qs_; ++s) {
+            const std::uint64_t w =
+                (pg.shardSize(s, d) + 1) * words_per_edge;
+            edge_words += ceilDiv(w, 16) * 16;  // 16 words = 64 B
         }
     }
     cursor = alignUp(cursor + 4ull * edge_words, kInterleaveBytes);
@@ -154,24 +63,6 @@ GraphLayout::build(const PartitionedGraph& pg, BackingStore& store)
 
     const std::uint32_t words_per_edge = weighted_ ? 2 : 1;
     std::uint64_t word = edge_base_ / 4;
-    if (packed_) {
-        for (std::uint32_t d = 0; d < qd_; ++d) {
-            for (std::uint32_t s = 0; s < qs_; ++s) {
-                const std::uint64_t start = word;
-                const std::vector<std::uint16_t> hw =
-                    packShard(pg, s, d, weighted_);
-                for (std::size_t i = 0; i < hw.size(); i += 2)
-                    store.write32(4 * word++,
-                                  static_cast<std::uint32_t>(hw[i]) |
-                                      (static_cast<std::uint32_t>(
-                                           hw[i + 1])
-                                       << 16));
-                store.write64(ptrAddr(s, d),
-                              edgeptr::pack(start, word - start, true));
-            }
-        }
-        return;
-    }
     for (std::uint32_t d = 0; d < qd_; ++d) {
         for (std::uint32_t s = 0; s < qs_; ++s) {
             const std::uint64_t start = word;

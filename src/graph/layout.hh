@@ -51,62 +51,6 @@ constexpr std::uint32_t dstOff(std::uint32_t w) { return w & 0x7fffu; }
 
 } // namespace edgeword
 
-/**
- * Packed half-word CSR (degree-aware vertex packing).
- *
- * Edges of a shard are sorted by (dst_off, src_off) and encoded as a
- * stream of 16-bit half-words in self-contained 64-byte lines (32
- * half-words per line):
- *
- *   selector  [15]=1, [14:0] dst_off — opens a destination group; all
- *             following source half-words until the next selector
- *             target this destination.
- *   source    [15]=0, [14:0] src_off — one in-edge of the open
- *             destination. Weighted shards append one raw 16-bit
- *             weight half-word after each source.
- *   0xFFFF    padding — skipped instantly; fills the tail of a line
- *             when the next unit would straddle the line boundary, and
- *             the tail of the shard.
- *
- * Every line begins with a selector (re-issued across line breaks), so
- * any 64-byte burst decodes without state from earlier lines. A
- * (source, weight) pair never splits across lines. 0xFFFF can never be
- * a real selector because eligibility requires nd <= 32767.
- *
- * Eligibility (checked per layout; ineligible partitions silently fall
- * back to the plain 32-bit encoding): ns <= 32768 (15-bit src_off),
- * nd <= 32767, and every weight <= 65535. The packed reorder of edges
- * within a shard is value-invariant: every gather is commutative.
- */
-namespace packedcsr
-{
-
-inline constexpr std::uint16_t kSelector = 0x8000u;
-inline constexpr std::uint16_t kPad = 0xffffu;
-inline constexpr std::uint32_t kHalfwordsPerLine = kLineBytes / 2;
-
-constexpr std::uint16_t
-selector(std::uint32_t dst_off)
-{
-    return static_cast<std::uint16_t>(kSelector | (dst_off & 0x7fffu));
-}
-
-constexpr std::uint16_t
-source(std::uint32_t src_off)
-{
-    return static_cast<std::uint16_t>(src_off & 0x7fffu);
-}
-
-constexpr bool isPad(std::uint16_t h) { return h == kPad; }
-constexpr bool isSelector(std::uint16_t h)
-{
-    return (h & kSelector) != 0;
-}
-constexpr std::uint32_t dstOff(std::uint16_t h) { return h & 0x7fffu; }
-constexpr std::uint32_t srcOff(std::uint16_t h) { return h & 0x7fffu; }
-
-} // namespace packedcsr
-
 /** 64-bit edge-pointer entry helpers: [63] active, [62:40] size in
  *  32-bit words, [39:0] start word address. */
 namespace edgeptr
@@ -146,10 +90,6 @@ class GraphLayout
     {
         bool has_const = false;    //!< allocate/populate V_const
         bool synchronous = false;  //!< allocate V_DRAM,out
-        /** Request the packed half-word CSR edge encoding (see
-         *  packedcsr above); silently ignored when the partition is
-         *  ineligible — check packed() after construction. */
-        bool packed = false;
         /** Initial value of V_DRAM,in for a node. */
         std::function<std::uint32_t(NodeId)> init_value;
         /** Value of V_const for a node (used when has_const). */
@@ -195,9 +135,6 @@ class GraphLayout
     bool synchronous() const { return synchronous_; }
     bool weighted() const { return weighted_; }
     bool hasConst() const { return has_const_; }
-    /** Whether the edge section actually uses the packed half-word
-     *  CSR (requested AND eligible). */
-    bool packed() const { return packed_; }
     std::uint32_t qs() const { return qs_; }
     std::uint32_t qd() const { return qd_; }
 
@@ -208,7 +145,6 @@ class GraphLayout
     bool has_const_ = false;
     bool synchronous_ = false;
     bool weighted_ = false;
-    bool packed_ = false;
     std::uint32_t qs_ = 0, qd_ = 0;
     NodeId num_nodes_ = 0;
     Options opts_;

@@ -123,27 +123,8 @@ preprocessingName(Preprocessing p)
       case Preprocessing::Hash: return "hash";
       case Preprocessing::Dbg: return "dbg";
       case Preprocessing::DbgHash: return "dbg+hash";
-      case Preprocessing::Packed: return "packed";
-      case Preprocessing::DbgHashPacked: return "dbg+hash+packed";
     }
     return "?";
-}
-
-bool
-packedCsr(Preprocessing p)
-{
-    return p == Preprocessing::Packed ||
-           p == Preprocessing::DbgHashPacked;
-}
-
-Preprocessing
-basePreprocessing(Preprocessing p)
-{
-    switch (p) {
-      case Preprocessing::Packed: return Preprocessing::None;
-      case Preprocessing::DbgHashPacked: return Preprocessing::DbgHash;
-      default: return p;
-    }
 }
 
 CooGraph
@@ -160,11 +141,6 @@ applyPreprocessing(const CooGraph& g, Preprocessing p, std::uint32_t nd)
         const CooGraph d = g.relabeled(dbgReorder(g));
         return d.relabeled(hashCacheLines(d.numNodes(), nd));
       }
-      case Preprocessing::Packed:
-      case Preprocessing::DbgHashPacked:
-        // Packing is a layout-time encoding, not a relabeling: strip
-        // it and recurse on the base variant.
-        return applyPreprocessing(g, basePreprocessing(p), nd);
     }
     return g;
 }

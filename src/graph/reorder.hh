@@ -52,22 +52,10 @@ enum class Preprocessing
     Hash,        //!< cache-line hashing
     Dbg,         //!< DBG only
     DbgHash,     //!< DBG then cache-line hashing (paper default)
-    Packed,      //!< packed half-word CSR, no relabeling
-    DbgHashPacked,  //!< DBG + hashing + packed CSR
 };
 
 /** Human-readable name for a Preprocessing value. */
 const char* preprocessingName(Preprocessing p);
-
-/** Whether @p p requests the packed half-word CSR edge encoding (a
- *  layout-time transform: it changes the DRAM image, not the node
- *  labels, so it composes freely with any relabeling). */
-bool packedCsr(Preprocessing p);
-
-/** The relabeling component of @p p with the packed flag stripped:
- *  Packed -> None, DbgHashPacked -> DbgHash, everything else itself.
- *  applyPreprocessing() only ever sees base variants. */
-Preprocessing basePreprocessing(Preprocessing p);
 
 /**
  * Apply the selected preprocessing to @p g for destination intervals of

@@ -81,6 +81,10 @@ struct TcpServer::Impl
 
     int listen_fd = -1;
     int epoll_fd = -1;
+    /** Owned by the TcpServer, not the loop: teardown() leaves it open
+     *  so a shutdown() racing the loop's exit (or arriving after it)
+     *  writes into this eventfd, never into a reused descriptor.
+     *  Closed by ~TcpServer after the join. */
     int wake_fd = -1;
     std::uint16_t port = 0;
 
@@ -168,7 +172,8 @@ TcpServer::Impl::setup(std::string* error)
         return fail(error, "getsockname");
     port = ntohs(bound.sin_port);
 
-    wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd < 0)
+        wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (wake_fd < 0)
         return fail(error, "eventfd");
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -194,11 +199,9 @@ TcpServer::Impl::teardown()
     conns.clear();
     if (listen_fd >= 0)
         ::close(listen_fd);
-    if (wake_fd >= 0)
-        ::close(wake_fd);
     if (epoll_fd >= 0)
         ::close(epoll_fd);
-    listen_fd = wake_fd = epoll_fd = -1;
+    listen_fd = epoll_fd = -1;
     std::lock_guard<std::mutex> lock(stats_mu);
     stats.active = 0;
 }
@@ -451,6 +454,8 @@ TcpServer::~TcpServer()
 {
     shutdown(/*drain=*/true);
     waitUntilStopped();
+    if (impl_->wake_fd >= 0)
+        ::close(impl_->wake_fd);
     delete impl_;
 }
 

@@ -28,10 +28,6 @@ DatasetPtr
 DatasetCache::get(const std::string& tag, Preprocessing prep,
                   std::uint32_t nd_hint)
 {
-    // Packing is a layout-time encoding: Packed and None (and
-    // DbgHashPacked and DbgHash) relabel identically, so they share
-    // one cached graph.
-    prep = basePreprocessing(prep);
     const Key key{tag, static_cast<int>(prep), nd_hint};
     std::promise<DatasetPtr> build;
     std::shared_future<DatasetPtr> ready;

@@ -46,10 +46,6 @@ prepByName(const std::string& name)
         return Preprocessing::Dbg;
     if (name == "dbg+hash")
         return Preprocessing::DbgHash;
-    if (name == "packed")
-        return Preprocessing::Packed;
-    if (name == "dbg+hash+packed")
-        return Preprocessing::DbgHashPacked;
     return std::nullopt;
 }
 
@@ -127,8 +123,7 @@ decodeSubmit(const JsonValue& obj, Request& req,
     const std::optional<Preprocessing> p = prepByName(prep);
     if (!p)
         problems.push_back("unknown preprocessing \"" + prep +
-                           "\" (none, hash, dbg, dbg+hash, packed, "
-                           "dbg+hash+packed)");
+                           "\" (none, hash, dbg, dbg+hash)");
     else
         spec.prep = *p;
 }

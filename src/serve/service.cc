@@ -345,22 +345,18 @@ GraphService::runAttempt(const JobSpec& spec, const AccelConfig& cfg,
     WallTimer timer;
     // The dataset arrives preprocessed from the cache, so the session
     // adds no preprocessing; sharing the pointer keeps the graph alive
-    // across a concurrent cache eviction. The packed-CSR half of the
-    // prep travels on the config instead (the cache only relabels), so
-    // it still keys checkpoints, memos and fingerprints. With the
-    // checkpoint pool on, the session is forked from a pooled warm
-    // checkpoint instead of cold-built: repeat jobs share the
-    // partition, and *identical* jobs replay the memoized result
-    // without simulating. The replay context is set per fork
-    // (result-neutral; the pooled checkpoint stores a neutral config).
-    AccelConfig run_cfg = cfg;
-    run_cfg.packed_edges = packedCsr(spec.prep);
+    // across a concurrent cache eviction. With the checkpoint pool on,
+    // the session is forked from a pooled warm checkpoint instead of
+    // cold-built: repeat jobs share the partition, and *identical*
+    // jobs replay the memoized result without simulating. The replay
+    // context is set per fork (result-neutral; the pooled checkpoint
+    // stores a neutral config).
     Session session =
         ckpt_pool_ ? ckpt_pool_->acquire(spec.dataset,
                                          preprocessingName(spec.prep),
-                                         dataset, run_cfg,
+                                         dataset, cfg,
                                          spec.algo == "SSSP")
-                   : SessionBuilder().dataset(dataset).config(run_cfg)
+                   : SessionBuilder().dataset(dataset).config(cfg)
                          .build();
     session.setReplayContext(replay);
 

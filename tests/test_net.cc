@@ -5,7 +5,8 @@
  * ephemeral port, the full serve protocol over a socket (v1 and v2),
  * pipelined requests answered in order, the structured over-limit
  * refusal, oversized-frame kill of a single connection, graceful
- * drain-and-exit on a quit request, and the per-layer latency
+ * drain-and-exit on a quit request, shutdown() racing the loop's
+ * exit from another thread, and the per-layer latency
  * breakdown. Skipped on non-Linux hosts where start() reports the
  * stubbed backend.
  */
@@ -14,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "src/net/line_client.hh"
 #include "src/net/tcp_server.hh"
@@ -282,6 +284,38 @@ TEST(TcpServer, QuitDrainsAndExitsClean)
     service.drain();
     const auto log = service.completionLog();
     EXPECT_EQ(log.size(), 3u);
+}
+
+TEST(TcpServer, ShutdownFromAnotherThreadWhileQuitStopsTheLoop)
+{
+    // A quit verb stops the loop while a second thread keeps calling
+    // shutdown() through the loop's teardown and once after it. The
+    // wake fd must stay valid for all of those calls; ThreadSanitizer
+    // flags a teardown that closes it as a race. Several rounds give
+    // the calls several chances to land inside the teardown.
+    for (int round = 0; round < 10; ++round) {
+        TcpServer server(loopback(), [](const std::string& line) {
+            HandlerResult out;
+            out.line = line;
+            out.shutdown_server = line == "quit";
+            return out;
+        });
+        START_OR_SKIP(server);
+
+        LineClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+        std::thread stopper([&server] {
+            while (server.running())
+                server.shutdown();
+            server.shutdown();
+        });
+        // Either stop request may win; both leave the loop stopped.
+        ASSERT_TRUE(client.sendLine("quit"));
+        server.waitUntilStopped();
+        stopper.join();
+        EXPECT_FALSE(server.running());
+        EXPECT_EQ(server.stats().active, 0u);
+    }
 }
 
 TEST(LineClient, ConnectFailureReportsError)

@@ -202,6 +202,31 @@ TEST(ProtocolV2, DecodeProblemsAccumulate)
     EXPECT_EQ(d.req.v, kProtocolV2);
 }
 
+TEST(ProtocolV2, RetiredPackedPrepNamesAreBadRequests)
+{
+    // The packed edge encoding is gone; its two preprocessing names
+    // decode like any unknown name, and the error lists what remains.
+    GraphService service{ServiceConfig{}};
+    for (const std::string prep : {"packed", "dbg+hash+packed"}) {
+        bool quit = false;
+        const JsonValue resp = parsed(handleRequestLine(
+            service,
+            R"({"v":2,"request_id":"p","op":"submit","tenant":"a",)"
+            R"("dataset":"WT","algo":"BFS","preset":"degraded",)"
+            R"("prep":")" + prep + R"("})",
+            quit));
+        EXPECT_EQ(resp.find("type")->string, "error") << prep;
+        const JsonValue* err = resp.find("error");
+        ASSERT_NE(err, nullptr) << prep;
+        EXPECT_EQ(err->find("code")->string, "bad_request") << prep;
+        const auto& problems = err->find("problems")->array;
+        ASSERT_EQ(problems.size(), 1u) << prep;
+        EXPECT_EQ(problems.front().string,
+                  "unknown preprocessing \"" + prep +
+                      "\" (none, hash, dbg, dbg+hash)");
+    }
+}
+
 TEST(ProtocolV2, RejectionAccumulatesValidationProblems)
 {
     GraphService service{ServiceConfig{}};

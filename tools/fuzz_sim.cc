@@ -256,14 +256,6 @@ runOne(std::uint64_t seed, const Options& opts)
     if (algo == "SSSP")
         addRandomWeights(g, rng());  // session uses the graph's weights
 
-    // A quarter of the draws stream the packed half-word CSR. The base
-    // relabeling stays identity, so the golden oracles compare in the
-    // external id space exactly as for the plain encoding.
-    const Preprocessing prep =
-        rng() % 4 == 0 ? Preprocessing::Packed : Preprocessing::None;
-    if (prep == Preprocessing::Packed)
-        cfg_desc += " packed";
-
     cfg.validate();  // the draw must only ever produce legal configs
     if (std::getenv("FUZZ_VERBOSE"))
         std::fprintf(stderr, "seed %llu: %s | %s | %s\n",
@@ -288,7 +280,6 @@ runOne(std::uint64_t seed, const Options& opts)
         return SessionBuilder()
             .datasetView(g)
             .config(mode_cfg)
-            .preprocessing(prep)
             .algo(algo)
             .iterations(algo == "PageRank" ? 3 : 1000)
             .source(source)
