@@ -295,8 +295,8 @@ main()
                     : "CHECKS CHANGED RESULTS — the hardening layer is "
                       "not observation-only");
 
-    // Checkpoint latency: what the serving layer pays to save a warm
-    // session once versus forking it per job.
+    // Checkpoint latency: what a library caller pays to save a warm
+    // session once versus forking it per run.
     const AccelConfig ref_cfg =
         AccelConfig::preset(MomsConfig::twoLevel(16, 2048), /*pes=*/18,
                             /*channels=*/4);
@@ -324,18 +324,15 @@ main()
 
     std::printf("capture (incl. partition warm-up): %.3f ms\n"
                 "first restore:                     %.6f ms\n"
-                "fork (avg of %d):                  %.6f ms\n"
-                "resident bytes:                    %zu\n",
+                "fork (avg of %d):                  %.6f ms\n",
                 capture_s * 1e3, restore_s * 1e3, kForks,
-                fork_avg_s * 1e3, cp.residentBytes());
+                fork_avg_s * 1e3);
 
     JsonReport ckpt;
     ckpt.set("capture_seconds", capture_s)
         .set("restore_seconds", restore_s)
         .set("fork_seconds_avg", fork_avg_s)
-        .set("forks_timed", static_cast<std::uint64_t>(kForks))
-        .set("resident_bytes",
-             static_cast<std::uint64_t>(cp.residentBytes()));
+        .set("forks_timed", static_cast<std::uint64_t>(kForks));
 
     JsonReport report;
     report.set("host_cpus", static_cast<std::uint64_t>(

@@ -17,13 +17,13 @@
  * impossibly small cycle budget so the retry -> degraded-fallback
  * path shows up in the numbers.
  *
- * A hot-repeat section measures the warm-session checkpoint pool:
- * the same job mix is pushed through two services — checkpoints off
- * (every attempt cold-builds and simulates) and on (repeat jobs fork a
- * pooled warm session and replay memoized results) — asserting per-job
- * bit-identical values_checksums and reporting the jobs/sec ratio as
- * the median over kRepetitions fresh service pairs. The checkpoint hit
- * and fork counters must be nonzero in every repetition (CI
+ * A hot-repeat section measures dispatch-time replay: the same job mix
+ * is pushed in batch mode through two services — result cache off
+ * (every job simulates) and on (a queued repeat whose twin finished
+ * before it was dispatched replays the cached result) — asserting
+ * per-job bit-identical values_checksums and reporting the jobs/sec
+ * ratio as the median over kRepetitions fresh service pairs. The
+ * cache-on side must replay at dispatch in every repetition (CI
  * serve-smoke relies on this).
  *
  * The TCP section (ISSUE 9) drives the epoll front end with an
@@ -136,9 +136,8 @@ randomJob(std::mt19937& rng)
 }
 
 /** The hot-repeat job mix: @p repeats passes over a small set of
- *  distinct specs — exactly the repeat-heavy traffic the checkpoint
- *  pool targets. Deterministic (no RNG): both services see the same
- *  list. */
+ *  distinct specs, so most jobs queue behind a twin that finishes
+ *  first. Deterministic (no RNG): both services see the same list. */
 std::vector<JobSpec>
 hotRepeatJobs(unsigned repeats)
 {
@@ -167,37 +166,40 @@ struct HotRepeatOutcome
     double wall_seconds = 0;
     double jobs_per_sec = 0;
     std::vector<std::uint64_t> checksums;  //!< submit order
+    std::uint64_t dispatch_replays = 0;  //!< jobs replayed at dispatch
     ServiceStats stats;
 };
 
 /** Push @p jobs through a fresh service in batch mode and collect the
  *  per-job checksums in submit order. */
 HotRepeatOutcome
-runHotRepeat(const std::vector<JobSpec>& jobs, bool checkpoints)
+runHotRepeat(const std::vector<JobSpec>& jobs, bool result_cache)
 {
     ServiceConfig cfg;
     cfg.start_paused = true;  // batch: measure pure serving throughput
     cfg.max_queue_depth = jobs.size();
     cfg.per_tenant_quota = 0;
-    cfg.enable_checkpoints = checkpoints;
-    // Isolate the checkpoint-pool comparison from the result cache
-    // (which would otherwise absorb the repeats in live mode — the TCP
-    // section below measures *that* path).
-    cfg.enable_result_cache = false;
+    // Paused: nothing has finished at submit time, so every repeat
+    // that replays does so at dispatch. Submit-time hits on live
+    // traffic are the TCP section's subject.
+    cfg.enable_result_cache = result_cache;
     GraphService service(cfg);
 
     std::vector<JobId> ids;
+    std::uint64_t submit_hits = 0;
     WallTimer timer;
     for (const JobSpec& spec : jobs) {
         const GraphService::Submitted sub = service.submit(spec);
         if (sub.ok())
             ids.push_back(sub.id);
+        submit_hits += sub.from_cache ? 1 : 0;
     }
     service.drain();
 
     HotRepeatOutcome out;
     out.wall_seconds = timer.elapsedSeconds();
     out.stats = service.stats();
+    out.dispatch_replays = out.stats.result_cache_completed - submit_hits;
     out.jobs_per_sec =
         out.wall_seconds > 0
             ? static_cast<double>(out.stats.terminal()) /
@@ -828,9 +830,9 @@ main(int argc, char** argv)
                 "instead of queueing unboundedly, and every\n"
                 "tiny-budget job comes back Degraded — never lost.\n");
 
-    // --- Hot-repeat: checkpoint pool off vs on ----------------------
-    std::printf("\n=== Hot-repeat serving: checkpoint pool off vs on "
-                "===\n\n");
+    // --- Hot-repeat: result cache off vs on, batch mode -------------
+    std::printf("\n=== Hot-repeat serving: result cache off vs on "
+                "(batch mode) ===\n\n");
     const std::vector<JobSpec> hot_jobs =
         hotRepeatJobs(smoke ? 8 : 20);
     // Every repetition is a fresh pair of services; the checks hold in
@@ -845,22 +847,18 @@ main(int argc, char** argv)
         if (cold.checksums != warmed.checksums ||
             cold.checksums.size() != hot_jobs.size()) {
             std::printf("CHECKSUM MISMATCH (repetition %u): "
-                        "checkpoint-forked jobs did not reproduce "
-                        "cold-built results bit-for-bit\n",
+                        "replayed jobs did not reproduce simulated "
+                        "results bit-for-bit\n",
                         rep);
             hot_failed = true;
         }
-        // The repeat-heavy mix must actually exercise the pool: every
-        // job forks, and every job after the first per key is a hit.
-        if (warmed.stats.checkpoints.hits == 0 ||
-            warmed.stats.checkpoints.forks == 0) {
-            std::printf("CHECKPOINT POOL UNUSED (repetition %u): "
-                        "hits=%llu forks=%llu on a repeat-heavy mix\n",
-                        rep,
-                        static_cast<unsigned long long>(
-                            warmed.stats.checkpoints.hits),
-                        static_cast<unsigned long long>(
-                            warmed.stats.checkpoints.forks));
+        // The repeat-heavy mix must actually replay: every job queued
+        // behind a finished twin completes from the cache.
+        if (warmed.dispatch_replays == 0) {
+            std::printf("NO DISPATCH REPLAY (repetition %u): the "
+                        "result cache replayed nothing on a "
+                        "repeat-heavy mix\n",
+                        rep);
             hot_failed = true;
         }
         cold_wall.push_back(cold.wall_seconds);
@@ -872,14 +870,15 @@ main(int argc, char** argv)
                                  : 0.0);
     }
     const double hot_speedup = median(hot_ratios);
-    Table hot_table({"pool", "jobs", "wall s", "jobs/s", "memo hits"});
+    Table hot_table(
+        {"result cache", "jobs", "wall s", "jobs/s", "replays"});
     hot_table.addRow({"off", std::to_string(hot_jobs.size()),
                       fmt(median(cold_wall), 3),
                       fmt(median(cold_rate), 1), "-"});
     hot_table.addRow(
         {"on", std::to_string(hot_jobs.size()),
          fmt(median(warm_wall), 3), fmt(median(warm_rate), 1),
-         std::to_string(warmed.stats.checkpoints.memo_hits)});
+         std::to_string(warmed.dispatch_replays)});
     hot_table.print();
     std::printf("\nspeedup: %.1fx, median of %u (%s); identical "
                 "checksums: %s\n",
@@ -888,8 +887,8 @@ main(int argc, char** argv)
                                    : "below the 5x target",
                 hot_failed ? "NO" : "yes");
 
-    // Wall-clock fields are medians over the repetitions; the pool
-    // counters are the last repetition's.
+    // Wall-clock fields are medians over the repetitions; the replay
+    // count is the last repetition's.
     JsonReport hot;
     hot.set("jobs", static_cast<std::uint64_t>(hot_jobs.size()))
         .set("repetitions", static_cast<std::uint64_t>(kRepetitions))
@@ -899,13 +898,7 @@ main(int argc, char** argv)
         .set("warm_jobs_per_sec", median(warm_rate))
         .set("speedup", hot_speedup)
         .set("checksums_match", !hot_failed)
-        .set("checkpoint_hits", warmed.stats.checkpoints.hits)
-        .set("checkpoint_misses", warmed.stats.checkpoints.misses)
-        .set("checkpoint_forks", warmed.stats.checkpoints.forks)
-        .set("memo_hits", warmed.stats.checkpoints.memo_hits)
-        .set("memo_misses", warmed.stats.checkpoints.memo_misses)
-        .set("checkpoint_resident_bytes",
-             warmed.stats.checkpoints.resident_bytes);
+        .set("dispatch_replays", warmed.dispatch_replays);
 
     // --- TCP result-cache sweep -------------------------------------
     const std::string tcp_mode_label =

@@ -42,13 +42,6 @@ mixBank(Fnv& f, const MomsBankConfig& b)
     f.mix(b.resp_latency);
 }
 
-std::size_t
-graphBytes(const CooGraph& g)
-{
-    return g.numEdges() * sizeof(Edge) +
-           static_cast<std::size_t>(g.numNodes()) * sizeof(NodeId);
-}
-
 } // namespace
 
 std::uint64_t
@@ -91,9 +84,9 @@ configFingerprint(const AccelConfig& cfg)
     f.mix(cfg.mem.timing.resp_queue_depth);
     f.mix(cfg.mem.timing.capacity_bytes);
     // Observability toggles change run *records* (telemetry summary,
-    // check signatures), so they separate pool entries; the engine mode
-    // (full_tick_engine) is bit-exact by contract and deliberately NOT
-    // mixed in.
+    // check signatures), so they separate result-cache entries; the
+    // engine mode (full_tick_engine) is bit-exact by contract and
+    // deliberately NOT mixed in.
     f.mix(cfg.telemetry.enabled ? 1 : 0);
     f.mix(cfg.checks.enabled ? 1 : 0);
     f.mix(cfg.checks.enabled ? cfg.checks.watchdog_interval : 0);
@@ -131,19 +124,7 @@ void
 SessionMemo::store(const std::string& key, const SessionResult& result)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = results_.emplace(key, result);
-    (void)it;
-    if (inserted)
-        bytes_ += key.size() + result.values.size() * sizeof(double) +
-                  result.run.raw_values.size() * sizeof(std::uint32_t) +
-                  sizeof(SessionResult);
-}
-
-std::size_t
-SessionMemo::bytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
+    results_.emplace(key, result);
 }
 
 std::uint64_t
@@ -164,7 +145,6 @@ struct SessionCheckpoint::State
 {
     std::uint32_t version = kFormatVersion;
     AccelConfig config;
-    std::uint64_t fingerprint = 0;
     std::shared_ptr<const CooGraph> src;
     std::shared_ptr<const std::vector<NodeId>> to_internal;
     std::shared_ptr<const std::vector<NodeId>> to_original;
@@ -177,17 +157,14 @@ struct SessionCheckpoint::State
 };
 
 SessionCheckpoint
-SessionCheckpoint::capture(Session& session, bool warm_weighted)
+SessionCheckpoint::capture(Session& session)
 {
     session.ensurePlain();
-    if (warm_weighted)
-        session.ensureWeighted();
     if (!session.memo_)
         session.memo_ = std::make_shared<SessionMemo>();
 
     auto st = std::make_shared<State>();
     st->config = session.config_;
-    st->fingerprint = configFingerprint(session.config_);
     st->src = session.src_;
     st->to_internal = session.to_internal_;
     st->to_original = session.to_original_;
@@ -224,38 +201,6 @@ SessionCheckpoint::restore() const
     s.pg_weighted_ = state_->pg_weighted;
     s.memo_ = state_->memo;
     return s;
-}
-
-std::size_t
-SessionCheckpoint::residentBytes() const
-{
-    if (!state_)
-        return 0;
-    // Approximate and double-count-free: views aliasing src (prep
-    // None) are counted once.
-    std::size_t total = sizeof(State);
-    total += graphBytes(*state_->src);
-    if (state_->plain && state_->plain != state_->src)
-        total += graphBytes(*state_->plain);
-    if (state_->weighted && state_->weighted != state_->src &&
-        state_->weighted != state_->plain)
-        total += graphBytes(*state_->weighted);
-    // A partition re-buckets every edge once plus interval metadata.
-    if (state_->pg_plain)
-        total += graphBytes(*state_->plain);
-    if (state_->pg_weighted)
-        total += graphBytes(*state_->weighted);
-    if (state_->to_internal)
-        total += state_->to_internal->size() * sizeof(NodeId) * 2;
-    if (state_->memo)
-        total += state_->memo->bytes();
-    return total;
-}
-
-std::uint64_t
-SessionCheckpoint::fingerprint() const
-{
-    return state_ ? state_->fingerprint : 0;
 }
 
 const std::shared_ptr<SessionMemo>&

@@ -44,9 +44,10 @@ namespace gmoms
  * simulation results or run records. Deliberately EXCLUDES
  * full_tick_engine (both engine modes are bit-identical) and
  * output-only knobs (dump paths, labels), so sessions differing only
- * in those share checkpoints. Unit-tested field-by-field in
- * tests/test_checkpoint.cc: any new result-relevant field must be
- * added here or that test's sensitivity sweep will miss it.
+ * in those share checkpoints and result-cache entries. Unit-tested
+ * field-by-field in tests/test_checkpoint.cc: any new result-relevant
+ * field must be added here or that test's sensitivity sweep will miss
+ * it.
  */
 std::uint64_t configFingerprint(const AccelConfig& cfg);
 
@@ -55,8 +56,8 @@ std::uint64_t configFingerprint(const AccelConfig& cfg);
  * binding, shared by every Session forked from the same checkpoint.
  * Keys are algorithm descriptors ("PR:10", "SSSP:s4:i1000:w97", ...);
  * only successfully completed runs are stored (a CheckError aborts
- * before the store). Thread-safe: forks run concurrently in
- * GraphService workers.
+ * before the store). Thread-safe: forks of one checkpoint may run
+ * concurrently.
  */
 class SessionMemo
 {
@@ -64,15 +65,12 @@ class SessionMemo
     std::optional<SessionResult> lookup(const std::string& key) const;
     void store(const std::string& key, const SessionResult& result);
 
-    /** Approximate resident bytes of stored results. */
-    std::size_t bytes() const;
     std::uint64_t hits() const;
     std::uint64_t misses() const;
 
   private:
     mutable std::mutex mu_;
     std::map<std::string, SessionResult> results_;
-    std::size_t bytes_ = 0;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
 };
@@ -85,22 +83,15 @@ class SessionCheckpoint
     static constexpr std::uint32_t kFormatVersion = 1;
 
     /**
-     * Capture @p session. Warms the plain view (and, with
-     * @p warm_weighted, the weighted one) so every fork starts fully
-     * preprocessed, and attaches a shared result memo to @p session
-     * so its later runs populate the cache too.
+     * Capture @p session. Warms the plain view so every fork starts
+     * preprocessed (a weighted view already built is shared too), and
+     * attaches a shared result memo to @p session so its later runs
+     * populate the cache too.
      */
-    static SessionCheckpoint capture(Session& session,
-                                     bool warm_weighted = false);
+    static SessionCheckpoint capture(Session& session);
 
     /** Copy-on-restore fork: a Session sharing all immutable state. */
     Session restore() const;
-
-    /** Approximate resident bytes (graph views + partitions + memo). */
-    std::size_t residentBytes() const;
-
-    /** Fingerprint of the captured config (pool key ingredient). */
-    std::uint64_t fingerprint() const;
 
     const std::shared_ptr<SessionMemo>& memo() const;
 

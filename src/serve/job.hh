@@ -134,8 +134,8 @@ struct JobRecord
 
     // Latency breakdown (wall seconds).
     double queue_seconds = 0;  //!< admission -> dispatch
-    double prep_seconds = 0;   //!< dataset build/fetch + partitioning
-    double sim_seconds = 0;    //!< successful simulation run
+    double prep_seconds = 0;   //!< dataset build or cache fetch
+    double sim_seconds = 0;    //!< successful attempt: views + run
     double total_seconds = 0;  //!< admission -> terminal
 
     // Result summary of the successful run.

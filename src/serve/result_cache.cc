@@ -28,11 +28,12 @@ ResultCache::slotBytes(const std::string& key, const Entry& e)
 }
 
 std::optional<ResultCache::Entry>
-ResultCache::get(const std::string& key)
+ResultCache::get(const std::string& key, bool count_miss)
 {
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
-        ++stats_.misses;
+        if (count_miss)
+            ++stats_.misses;
         return std::nullopt;
     }
     ++stats_.hits;

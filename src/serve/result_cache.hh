@@ -21,9 +21,16 @@
  *  - only JobState::Completed results are inserted — a Degraded run
  *    executed the fallback config, not the keyed one, and a Failed run
  *    has no result;
- *  - lookups happen at submit time, so a repeat only hits once its
- *    first instance has *finished* (batch-mode bursts of the same spec
- *    all simulate; live repeat traffic hits).
+ *  - a job is looked up at submit and, if it missed and queued, again
+ *    when a worker dispatches it. A repeat hits once its first
+ *    instance has *finished*: live repeat traffic hits at submit, and
+ *    in a batch-mode burst of one spec only the copies dispatched
+ *    before the first one finished simulate. The dispatch-time hit
+ *    counts as a hit; its miss was already counted at submit.
+ *
+ * This is the serving layer's only result memo. Each job that does
+ * simulate builds its own Session and prepared views; that costs
+ * 0.2-1.9% of the simulation that follows, so sessions are not pooled.
  *
  * Byte-budgeted LRU like the DatasetCache: entries are tiny (a key
  * string + a fixed summary), the budget exists so a long-lived service
@@ -75,8 +82,11 @@ class ResultCache
     static std::string keyFor(const JobSpec& spec,
                               std::uint64_t fingerprint);
 
-    /** Lookup + LRU touch. */
-    std::optional<Entry> get(const std::string& key);
+    /** Lookup + LRU touch. A hit always counts; a miss counts unless
+     *  @p count_miss is false (a re-check of a key whose miss was
+     *  already counted). */
+    std::optional<Entry> get(const std::string& key,
+                             bool count_miss = true);
 
     /** Insert (or refresh) @p key, then evict LRU entries over budget
      *  (never the one just inserted). Deterministic repeat runs always

@@ -52,6 +52,24 @@ replayFor(const JobSpec& spec, const AccelConfig& cfg,
     return rd.serialize();
 }
 
+/** Complete @p rec from a result-cache hit: the pinned summary of the
+ *  run that produced the entry, with no prep or simulation time. */
+void
+completeFromCache(JobRecord& rec, const ResultCache::Entry& hit)
+{
+    rec.state = JobState::Completed;
+    rec.from_cache = true;
+    rec.replay = hit.replay;
+    rec.cycles = hit.cycles;
+    rec.iterations = hit.iterations;
+    rec.edges_processed = hit.edges_processed;
+    rec.dram_bytes_read = hit.dram_bytes_read;
+    rec.dram_bytes_written = hit.dram_bytes_written;
+    rec.moms_hit_rate = hit.moms_hit_rate;
+    rec.gteps = hit.gteps;
+    rec.values_checksum = hit.values_checksum;
+}
+
 } // namespace
 
 JsonReport
@@ -90,24 +108,12 @@ ServiceStats::toJson() const
     r.set("rate_allowed", rate.allowed)
         .set("rate_limited_total", rate.limited)
         .set("rate_tenants", rate.tenants);
-    r.set("checkpoint_hits", checkpoints.hits)
-        .set("checkpoint_misses", checkpoints.misses)
-        .set("checkpoint_forks", checkpoints.forks)
-        .set("checkpoint_evictions", checkpoints.evictions)
-        .set("checkpoint_entries", checkpoints.entries)
-        .set("checkpoint_resident_bytes", checkpoints.resident_bytes)
-        .set("memo_hits", checkpoints.memo_hits)
-        .set("memo_misses", checkpoints.memo_misses);
     return r;
 }
 
 GraphService::GraphService(ServiceConfig cfg)
     : cfg_(cfg), fallback_config_(resolveFallback(cfg)),
       cache_(cfg.cache_budget_bytes),
-      ckpt_pool_(cfg.enable_checkpoints
-                     ? std::make_unique<CheckpointPool>(
-                           cfg.checkpoint_budget_bytes)
-                     : nullptr),
       result_cache_(cfg.enable_result_cache
                         ? std::make_unique<ResultCache>(
                               cfg.result_cache_budget_bytes)
@@ -187,17 +193,7 @@ GraphService::submit(JobSpec spec)
             rec.dataset = job.spec.dataset;
             rec.algo = job.spec.algo;
             rec.priority = job.spec.priority;
-            rec.state = JobState::Completed;
-            rec.from_cache = true;
-            rec.replay = hit->replay;
-            rec.cycles = hit->cycles;
-            rec.iterations = hit->iterations;
-            rec.edges_processed = hit->edges_processed;
-            rec.dram_bytes_read = hit->dram_bytes_read;
-            rec.dram_bytes_written = hit->dram_bytes_written;
-            rec.moms_hit_rate = hit->moms_hit_rate;
-            rec.gteps = hit->gteps;
-            rec.values_checksum = hit->values_checksum;
+            completeFromCache(rec, *hit);
             completion_log_.push_back(id);
             ++stats_.completed;
             ++stats_.result_cache_completed;
@@ -283,8 +279,6 @@ GraphService::stats() const
     s.queued = queue_.queued();
     s.running = queue_.running();
     s.cache = cache_.stats();
-    if (ckpt_pool_)
-        s.checkpoints = ckpt_pool_->stats();
     if (result_cache_)
         s.result_cache = result_cache_->stats();
     if (limiter_)
@@ -303,6 +297,16 @@ GraphService::spawnDrainersLocked()
 }
 
 void
+GraphService::finishLocked(JobId id, const Job& job)
+{
+    queue_.complete(id);
+    finished_[job.dispatch_idx] = id;
+    publishReadyLocked();
+    if (queue_.idle() && finished_.empty())
+        idle_cv_.notify_all();
+}
+
+void
 GraphService::publishReadyLocked()
 {
     while (true) {
@@ -318,6 +322,8 @@ GraphService::publishReadyLocked()
         switch (rec.state) {
           case JobState::Completed:
             ++stats_.completed;
+            if (rec.from_cache)
+                ++stats_.result_cache_completed;
             break;
           case JobState::Degraded:
             ++stats_.degraded;
@@ -345,19 +351,9 @@ GraphService::runAttempt(const JobSpec& spec, const AccelConfig& cfg,
     WallTimer timer;
     // The dataset arrives preprocessed from the cache, so the session
     // adds no preprocessing; sharing the pointer keeps the graph alive
-    // across a concurrent cache eviction. With the checkpoint pool on,
-    // the session is forked from a pooled warm checkpoint instead of
-    // cold-built: repeat jobs share the partition, and *identical*
-    // jobs replay the memoized result without simulating. The replay
-    // context is set per fork (result-neutral; the pooled checkpoint
-    // stores a neutral config).
-    Session session =
-        ckpt_pool_ ? ckpt_pool_->acquire(spec.dataset,
-                                         preprocessingName(spec.prep),
-                                         dataset, cfg,
-                                         spec.algo == "SSSP")
-                   : SessionBuilder().dataset(dataset).config(cfg)
-                         .build();
+    // across a concurrent cache eviction. Each attempt builds its own
+    // prepared views: that costs well under 2% of the simulation.
+    Session session = SessionBuilder().dataset(dataset).config(cfg).build();
     session.setReplayContext(replay);
 
     SessionResult res;
@@ -396,8 +392,22 @@ GraphService::drainerLoop()
         const JobId id = *popped;
         Job& job = jobs_.at(id);
         job.dispatch_idx = dispatch_count_++;
-        job.rec.state = JobState::Running;
         job.rec.queue_seconds = job.admitted.elapsedSeconds();
+
+        // A repeat whose twin finished while it queued replays instead
+        // of simulating. Its miss was already counted at submit, so a
+        // miss here is not counted again.
+        if (result_cache_ && !job.result_key.empty()) {
+            if (const std::optional<ResultCache::Entry> hit =
+                    result_cache_->get(job.result_key,
+                                       /*count_miss=*/false)) {
+                completeFromCache(job.rec, *hit);
+                job.rec.total_seconds = job.admitted.elapsedSeconds();
+                finishLocked(id, job);
+                continue;
+            }
+        }
+        job.rec.state = JobState::Running;
 
         // Everything the run needs, copied out so the simulation never
         // holds the service lock.
@@ -487,11 +497,7 @@ GraphService::drainerLoop()
         }
         stats_.retries += retries;
         stats_.fallback_runs += fallback_runs;
-        queue_.complete(id);
-        finished_[finished_job.dispatch_idx] = id;
-        publishReadyLocked();
-        if (queue_.idle() && finished_.empty())
-            idle_cv_.notify_all();
+        finishLocked(id, finished_job);
     }
     --active_drainers_;
     if (active_drainers_ == 0 && queue_.idle() && finished_.empty())

@@ -7,8 +7,10 @@
  * rejection listing every problem), applies admission control (bounded
  * queue, per-tenant quotas), schedules deterministically by priority
  * with per-tenant fairness (AdmissionQueue), shares datasets through a
- * byte-budgeted LRU DatasetCache, and runs each job on a
- * src/sim/parallel worker pool under the PR-4 watchdog with a
+ * byte-budgeted LRU DatasetCache, answers repeat queries from the
+ * ResultCache (looked up at submit and again at dispatch), and runs
+ * every other job on a freshly built Session on a src/sim/parallel
+ * worker pool under the hardening watchdog with a
  * timeout -> retry -> degrade-to-fallback-preset policy. Per-job
  * latency (queue wait, prep, sim, total) feeds LatencyStats; stats()
  * exports p50/p95/p99 + throughput + rejection rate.
@@ -16,7 +18,10 @@
  * Determinism contract (pinned by tests/test_serve.cc):
  *  - Per-job results are bit-identical for any worker count — each job
  *    runs on the re-entrant simulation core with a deterministic
- *    config, exactly as sweep() jobs do.
+ *    config, exactly as sweep() jobs do. Whether a queued repeat
+ *    replays at dispatch depends on whether its twin has finished, so
+ *    from_cache and the timings may differ across worker counts; the
+ *    result fields cannot.
  *  - The *completion log* is ordered by dispatch index (a reorder
  *    buffer holds back out-of-order finishers), so in batch mode
  *    (start_paused: submit everything, then drain()) the full
@@ -48,7 +53,6 @@
 #include <vector>
 
 #include "src/obs/latency.hh"
-#include "src/serve/checkpoint_pool.hh"
 #include "src/serve/dataset_cache.hh"
 #include "src/serve/job.hh"
 #include "src/serve/rate_limiter.hh"
@@ -76,21 +80,12 @@ struct ServiceConfig
     /** Dataset-cache byte budget; 0 = unbounded. */
     std::uint64_t cache_budget_bytes = 2048ull << 20;
 
-    /** Serve repeat (dataset, prep, config) jobs from a pool of warm
-     *  session checkpoints: the first job on a key pays the partition
-     *  cost, later jobs fork the checkpoint, and *identical* jobs
-     *  (same algo + args) replay the memoized, bit-identical result
-     *  without re-simulating. Off = every attempt cold-builds (the
-     *  pre-checkpoint behavior). */
-    bool enable_checkpoints = true;
-    /** Checkpoint-pool resident-byte budget; 0 = unbounded. */
-    std::uint64_t checkpoint_budget_bytes = 1024ull << 20;
-
     /** Serve repeat queries from the deterministic result cache: a
-     *  submit whose (dataset, prep, algo, source, iterations, config
-     *  fingerprint) key already holds a *Completed* result returns the
-     *  pinned values_checksum in O(1) without admission or simulation
-     *  (ISSUE 9). Off = every submit simulates. */
+     *  job whose (dataset, prep, algo, source, iterations, config
+     *  fingerprint) key already holds a *Completed* result replays the
+     *  pinned summary instead of simulating — at submit (terminal
+     *  at once, no admission) or, if its twin finished while it
+     *  queued, at dispatch. Off = every job simulates. */
     bool enable_result_cache = true;
     /** Result-cache byte budget; 0 = unbounded. Entries are ~200 B so
      *  the default holds hundreds of thousands of distinct queries. */
@@ -135,7 +130,6 @@ struct ServiceStats
     std::uint64_t queued = 0;   //!< admission snapshot at stats() time
     std::uint64_t running = 0;  //!< dispatched, not yet terminal
     DatasetCache::Stats cache;
-    CheckpointPool::Stats checkpoints;  //!< zeros when pool disabled
     ResultCache::Stats result_cache;    //!< zeros when cache disabled
     RateLimiter::Stats rate;            //!< zeros when limiter off
 
@@ -161,10 +155,10 @@ struct ServiceStats
 
     /**
      * THE one service-statistics serialization (ISSUE 9 satellite):
-     * admission counters, latency percentiles, dataset cache,
-     * checkpoint pool, result cache and rate limiter, as one flat JSON
-     * block (the payload of BENCH_serve.json records and of every
-     * protocol stats response). Schema documented in docs/MODEL.md.
+     * admission counters, latency percentiles, dataset cache, result
+     * cache and rate limiter, as one flat JSON block (the payload of
+     * BENCH_serve.json records and of every protocol stats response).
+     * Schema documented in docs/MODEL.md.
      */
     JsonReport toJson() const;
 };
@@ -222,11 +216,6 @@ class GraphService
     ServiceStats stats() const;
 
     DatasetCache& datasetCache() { return cache_; }
-    /** Null when ServiceConfig::enable_checkpoints is false. */
-    const CheckpointPool* checkpointPool() const
-    {
-        return ckpt_pool_.get();
-    }
     /** Null when ServiceConfig::enable_result_cache is false. */
     const ResultCache* resultCache() const
     {
@@ -249,6 +238,9 @@ class GraphService
     void drainerLoop();
     /** Spawn drainers up to min(workers, queued). Caller holds mu_. */
     void spawnDrainersLocked();
+    /** Hand a terminal @p job to the reorder buffer and publish what
+     *  is ready. Caller holds mu_. */
+    void finishLocked(JobId id, const Job& job);
     /** Publish in dispatch order whatever finished. Caller holds mu_. */
     void publishReadyLocked();
     /** One simulation attempt; fills @p rec result fields on success.
@@ -261,7 +253,6 @@ class GraphService
     const ServiceConfig cfg_;
     const AccelConfig fallback_config_;
     DatasetCache cache_;
-    std::unique_ptr<CheckpointPool> ckpt_pool_;  //!< null = disabled
     std::unique_ptr<ResultCache> result_cache_;  //!< null = disabled
     std::unique_ptr<RateLimiter> limiter_;       //!< null = disabled
     ThreadPool pool_;

@@ -133,13 +133,14 @@ TEST(Checkpoint, FailedRunsAreNeverMemoized)
 
     Session first = cp.restore();
     EXPECT_THROW(first.pageRank(2), CheckError);
-    EXPECT_EQ(cp.memo()->bytes(), 0u);
+    EXPECT_EQ(cp.memo()->misses(), 1u);
 
     // The repeat re-simulates (and fails identically) instead of
     // replaying a poisoned result.
     Session second = cp.restore();
     EXPECT_THROW(second.pageRank(2), CheckError);
     EXPECT_EQ(cp.memo()->hits(), 0u);
+    EXPECT_EQ(cp.memo()->misses(), 2u);
 }
 
 // ---------------------------------------------------------------------

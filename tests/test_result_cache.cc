@@ -6,13 +6,14 @@
  * matrix (configFingerprint deliberately ignores both knobs), eviction
  * under a tiny budget rebuilds correctly, distinct config fingerprints
  * never collide, cluster (boards > 1) jobs cache correctly, Degraded
- * results are never cached, and batch-mode duplicate bursts never hit
- * (lookups happen at submit time — determinism safety).
+ * results are never cached, and a queued repeat whose twin finished
+ * first replays at dispatch instead of simulating.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/accel/checkpoint.hh"
 #include "src/serve/result_cache.hh"
@@ -366,11 +367,65 @@ TEST(ServiceResultCache, DegradedResultsAreNeverCached)
     EXPECT_EQ(service.stats().result_cache.insertions, 0u);
 }
 
-TEST(ServiceResultCache, BatchModeBurstsNeverHit)
+TEST(ServiceResultCache, QueuedRepeatsReplayAtDispatch)
 {
-    // Lookups happen at submit time: in paused (batch) mode nothing has
-    // finished when duplicates arrive, so all of them simulate and the
-    // completion order stays the deterministic batch order.
+    ServiceConfig cold_cfg;
+    cold_cfg.workers = 1;
+    cold_cfg.enable_result_cache = false;
+    GraphService cold(cold_cfg);
+    const JobId ref = cold.submit(tinyJob("t", "PageRank")).id;
+    cold.drain();
+    const JobRecord want = *cold.poll(ref);
+
+    // One worker, paused: all three queue before anything runs, then
+    // dispatch one at a time, so the first simulates and the other two
+    // find its result when they are popped.
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.start_paused = true;
+    GraphService service(cfg);
+    std::vector<JobId> ids;
+    for (int i = 0; i < 3; ++i) {
+        const auto sub = service.submit(tinyJob("t", "PageRank"));
+        ASSERT_TRUE(sub.ok());
+        EXPECT_FALSE(sub.from_cache);
+        ids.push_back(sub.id);
+    }
+    service.drain();
+
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const JobRecord rec = *service.poll(ids[i]);
+        EXPECT_EQ(rec.state, JobState::Completed);
+        EXPECT_EQ(rec.from_cache, i > 0) << "job " << i;
+        EXPECT_EQ(rec.attempts, i > 0 ? 0u : 1u) << "job " << i;
+        EXPECT_EQ(rec.cycles, want.cycles);
+        EXPECT_EQ(rec.values_checksum, want.values_checksum);
+        EXPECT_TRUE(ReplayDescriptor::parse(rec.replay).has_value());
+        if (i > 0) {
+            EXPECT_EQ(rec.prep_seconds, 0.0);
+            EXPECT_EQ(rec.sim_seconds, 0.0);
+        }
+    }
+    EXPECT_EQ(service.completionLog(), ids);
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.completed, 3u);
+    EXPECT_EQ(stats.result_cache_completed, 2u);
+    EXPECT_EQ(stats.result_cache.hits, 2u);
+    // One miss per submit; the dispatch-time re-check adds none.
+    EXPECT_EQ(stats.result_cache.misses, 3u);
+    EXPECT_EQ(stats.result_cache.insertions, 1u);
+    // Only the simulated job built (and fetched) the dataset.
+    EXPECT_EQ(stats.cache.misses + stats.cache.hits, 1u);
+}
+
+TEST(ServiceResultCache, BatchBurstReplaysOnlyAfterATwinFinished)
+{
+    // Lookups happen at submit and at dispatch. In paused (batch) mode
+    // nothing has finished when the duplicates arrive, so no submit
+    // hits; the two jobs the two workers dispatch together both
+    // simulate, and the third, popped once one of them finished,
+    // replays.
     ServiceConfig cfg;
     cfg.workers = 2;
     cfg.start_paused = true;
@@ -382,13 +437,19 @@ TEST(ServiceResultCache, BatchModeBurstsNeverHit)
     EXPECT_FALSE(a.from_cache || b.from_cache || c.from_cache);
     service.drain();
 
+    EXPECT_FALSE(service.poll(a.id)->from_cache);
+    EXPECT_FALSE(service.poll(b.id)->from_cache);
+    EXPECT_TRUE(service.poll(c.id)->from_cache);
     const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.result_cache.hits, 0u);
+    EXPECT_EQ(stats.result_cache.hits, 1u);
+    EXPECT_EQ(stats.result_cache_completed, 1u);
     EXPECT_EQ(stats.completed, 3u);
     EXPECT_EQ(service.poll(a.id)->values_checksum,
               service.poll(c.id)->values_checksum);
+    EXPECT_EQ(service.poll(b.id)->values_checksum,
+              service.poll(c.id)->values_checksum);
 
-    // After the batch finished, a live repeat hits as usual.
+    // After the batch finished, a live repeat hits at submit.
     const auto live = service.submit(tinyJob("a", "PageRank"));
     ASSERT_TRUE(live.ok());
     EXPECT_TRUE(live.from_cache);

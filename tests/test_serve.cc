@@ -345,10 +345,8 @@ TEST(ServeAdmission, SaturatedQueueAndQuotaRejectStructured)
     cfg.max_queue_depth = 2;
     cfg.per_tenant_quota = 2;
     // Quota binds on *in-flight* jobs: the repeats below must actually
-    // simulate (not replay a memoized checkpoint result in
-    // microseconds, nor complete at submit time from the result cache)
-    // for the queue to stay occupied across submits.
-    cfg.enable_checkpoints = false;
+    // simulate (not complete at submit time from the result cache) for
+    // the queue to stay occupied across submits.
     cfg.enable_result_cache = false;
     GraphService service(cfg);
 
@@ -450,10 +448,12 @@ TEST(ServeDeadline, FallbackDisabledFailsTerminally)
 TEST(ServeCache, EvictedDatasetRebuildsToIdenticalJobResults)
 {
     // A cache too small to hold both keys: every alternation evicts.
-    // Job results must not care.
+    // Job results must not care. The result cache is off so that a2
+    // really simulates on the rebuilt dataset instead of replaying a1.
     ServiceConfig cfg;
     cfg.workers = 1;
     cfg.cache_budget_bytes = 1;
+    cfg.enable_result_cache = false;
     GraphService service(cfg);
 
     JobSpec a = tinyJob("t", "PageRank");
@@ -466,57 +466,21 @@ TEST(ServeCache, EvictedDatasetRebuildsToIdenticalJobResults)
     service.drain();
 
     EXPECT_GE(service.datasetCache().stats().evictions, 1u);
+    // a1, b1 and a2 each built their dataset: a2 ran on a rebuild.
+    EXPECT_EQ(service.datasetCache().stats().misses, 3u);
     const JobRecord ra1 = *service.poll(a1);
     const JobRecord ra2 = *service.poll(a2);
     EXPECT_EQ(ra1.state, JobState::Completed);
     EXPECT_EQ(ra2.state, JobState::Completed);
+    EXPECT_FALSE(ra2.from_cache);
     EXPECT_EQ(ra1.cycles, ra2.cycles);
     EXPECT_EQ(ra1.values_checksum, ra2.values_checksum);
     EXPECT_EQ(service.poll(b1)->state, JobState::Completed);
 }
 
 // ---------------------------------------------------------------------
-// GraphService: warm-session checkpoint pool
+// GraphService: replay descriptors
 // ---------------------------------------------------------------------
-
-TEST(ServeCheckpoint, RepeatJobsForkThePoolWithIdenticalResults)
-{
-    ServiceConfig cold_cfg;
-    cold_cfg.workers = 1;
-    cold_cfg.enable_checkpoints = false;
-    GraphService cold(cold_cfg);
-    const JobId ref = cold.submit(tinyJob("t", "PageRank")).id;
-    cold.drain();
-
-    ServiceConfig cfg;
-    cfg.workers = 1;
-    GraphService service(cfg);
-    const JobId j1 = service.submit(tinyJob("t", "PageRank")).id;
-    const JobId j2 = service.submit(tinyJob("t", "PageRank")).id;
-    const JobId j3 = service.submit(tinyJob("t", "PageRank")).id;
-    service.drain();
-
-    // Checkpoint-forked (and memo-replayed) jobs are bit-identical to
-    // the cold-built run.
-    const std::uint64_t want = cold.poll(ref)->values_checksum;
-    for (JobId id : {j1, j2, j3}) {
-        const JobRecord rec = *service.poll(id);
-        EXPECT_EQ(rec.state, JobState::Completed);
-        EXPECT_EQ(rec.values_checksum, want);
-        EXPECT_EQ(rec.cycles, cold.poll(ref)->cycles);
-        EXPECT_FALSE(rec.replay.empty());
-        EXPECT_TRUE(ReplayDescriptor::parse(rec.replay).has_value());
-    }
-
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.checkpoints.misses, 1u);  // first job built it
-    EXPECT_EQ(stats.checkpoints.hits, 2u);
-    EXPECT_EQ(stats.checkpoints.forks, 3u);
-    EXPECT_EQ(stats.checkpoints.memo_hits, 2u);
-    EXPECT_GT(stats.checkpoints.resident_bytes, 0u);
-    // The disabled service never touched a pool.
-    EXPECT_EQ(cold.stats().checkpoints.forks, 0u);
-}
 
 TEST(ServeCheckpoint, FailedJobsCarryAParseableReplayDescriptor)
 {

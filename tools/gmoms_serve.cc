@@ -16,22 +16,31 @@
  * (`"v":2` + `request_id`, tagged-union responses); see the protocol
  * header for the wire shapes and docs/MODEL.md for the schema.
  *
- * Service flags: --workers N, --paused (batch mode: dispatch only on
- * drain), --queue-depth N, --quota N, --cache-mb N, --no-fallback,
- * --checkpoint-mb N, --no-checkpoints, --result-cache-mb N,
- * --no-result-cache, --rate-hz R --rate-burst B (per-tenant token
- * bucket; 0 = unlimited).
- * Network flags: --listen PORT, --bind ADDR, --max-conns N.
+ * Service flags: --workers N (0-256), --paused (batch mode: dispatch
+ * only on drain), --queue-depth N, --quota N, --cache-mb N,
+ * --no-fallback, --result-cache-mb N, --no-result-cache, --rate-hz R
+ * --rate-burst B (per-tenant token bucket; 0 = unlimited).
+ * Network flags: --listen PORT (0-65535), --bind ADDR, --max-conns N.
  *
- * Stats responses include the admission/cache/checkpoint/result-cache/
+ * Every number must be a whole non-negative decimal token in its
+ * range; anything else prints the usage and exits 2 before the
+ * service is built. --help prints the usage and exits 0.
+ *
+ * Stats responses include the admission/cache/result-cache/
  * rate-limiter block (ServiceStats::toJson) and, in TCP mode, the
  * server's connection counters under "net".
  */
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "src/net/tcp_server.hh"
 #include "src/serve/protocol.hh"
@@ -43,21 +52,52 @@ using namespace gmoms::serve;
 namespace
 {
 
+constexpr const char* kUsage =
+    "usage: gmoms_serve [--workers N] [--paused] [--queue-depth N]\n"
+    "                   [--quota N] [--cache-mb N] [--no-fallback]\n"
+    "                   [--result-cache-mb N] [--no-result-cache]\n"
+    "                   [--rate-hz R] [--rate-burst B]\n"
+    "                   [--listen PORT] [--bind ADDR] [--max-conns N]\n"
+    "                   [--help]\n"
+    "  --workers N    0-256 worker threads (0 = GMOMS_JOBS or the CPU "
+    "count)\n"
+    "  --listen PORT  0-65535 (0 = an ephemeral port)\n"
+    "JSON-lines serving front end (stdin by default, epoll TCP\n"
+    "with --listen); see the file header for the protocol.\n";
+
+/** Print @p problem and the usage to stderr; the exit code for bad
+ *  arguments. */
 int
-usage(const char* argv0)
+usageError(const std::string& problem)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--workers N] [--paused] [--queue-depth N]\n"
-        "          [--quota N] [--cache-mb N] [--no-fallback]\n"
-        "          [--checkpoint-mb N] [--no-checkpoints]\n"
-        "          [--result-cache-mb N] [--no-result-cache]\n"
-        "          [--rate-hz R] [--rate-burst B]\n"
-        "          [--listen PORT] [--bind ADDR] [--max-conns N]\n"
-        "JSON-lines serving front end (stdin by default, epoll TCP\n"
-        "with --listen); see the file header for the protocol.\n",
-        argv0);
+    std::fprintf(stderr, "gmoms_serve: %s\n%s", problem.c_str(), kUsage);
     return 2;
+}
+
+/** @p text as a whole decimal token in [0, @p max]; nullopt for a
+ *  sign, junk, an empty token or a value out of range. */
+std::optional<std::uint64_t>
+parseCount(const char* text, std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        return std::nullopt;
+    return v;
+}
+
+/** @p text as a whole finite decimal number without a sign. */
+std::optional<double>
+parseRate(const char* text)
+{
+    double v = 0;
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+        std::signbit(v))
+        return std::nullopt;
+    return v;
 }
 
 int
@@ -114,87 +154,77 @@ runTcp(GraphService& service, const net::TcpServerConfig& net_cfg)
 int
 main(int argc, char** argv)
 {
+    constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
+
     ServiceConfig cfg;
     net::TcpServerConfig net_cfg;
     bool tcp = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
+        const char* value = nullptr;  // the flag's value, once taken
+        auto take = [&] {
+            value = i + 1 < argc ? argv[++i] : nullptr;
+            return value != nullptr;
         };
-        if (arg == "--workers") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.workers = static_cast<unsigned>(std::atoi(v));
+        // Take the value as a count in [0, max] and store it times
+        // 2^shift in field; false if it is missing or bad.
+        auto count = [&](std::uint64_t max, auto& field,
+                         unsigned shift = 0) {
+            const std::optional<std::uint64_t> n =
+                take() ? parseCount(value, max >> shift) : std::nullopt;
+            if (n)
+                field = static_cast<std::remove_reference_t<
+                    decltype(field)>>(*n << shift);
+            return n.has_value();
+        };
+        auto rate = [&](double& field) {
+            const std::optional<double> r =
+                take() ? parseRate(value) : std::nullopt;
+            if (r)
+                field = *r;
+            return r.has_value();
+        };
+
+        bool ok = true;
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else if (arg == "--workers") {
+            ok = count(256, cfg.workers);
         } else if (arg == "--paused") {
             cfg.start_paused = true;
         } else if (arg == "--queue-depth") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.max_queue_depth =
-                static_cast<std::size_t>(std::atoll(v));
+            ok = count(kMaxSize, cfg.max_queue_depth);
         } else if (arg == "--quota") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.per_tenant_quota =
-                static_cast<std::size_t>(std::atoll(v));
+            ok = count(kMaxSize, cfg.per_tenant_quota);
         } else if (arg == "--cache-mb") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.cache_budget_bytes =
-                static_cast<std::uint64_t>(std::atoll(v)) << 20;
+            ok = count(kMaxSize, cfg.cache_budget_bytes, 20);
         } else if (arg == "--no-fallback") {
             cfg.enable_fallback = false;
-        } else if (arg == "--checkpoint-mb") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.checkpoint_budget_bytes =
-                static_cast<std::uint64_t>(std::atoll(v)) << 20;
-        } else if (arg == "--no-checkpoints") {
-            cfg.enable_checkpoints = false;
         } else if (arg == "--result-cache-mb") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.result_cache_budget_bytes =
-                static_cast<std::uint64_t>(std::atoll(v)) << 20;
+            ok = count(kMaxSize, cfg.result_cache_budget_bytes, 20);
         } else if (arg == "--no-result-cache") {
             cfg.enable_result_cache = false;
         } else if (arg == "--rate-hz") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.rate_limit_hz = std::atof(v);
+            ok = rate(cfg.rate_limit_hz);
         } else if (arg == "--rate-burst") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.rate_limit_burst = std::atof(v);
+            ok = rate(cfg.rate_limit_burst);
         } else if (arg == "--listen") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            net_cfg.port = static_cast<std::uint16_t>(std::atoi(v));
+            ok = count(65535, net_cfg.port);
             tcp = true;
         } else if (arg == "--bind") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            net_cfg.bind_address = v;
+            ok = take();
+            if (ok)
+                net_cfg.bind_address = value;
         } else if (arg == "--max-conns") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            net_cfg.max_connections =
-                static_cast<std::size_t>(std::atoll(v));
+            ok = count(kMaxSize, net_cfg.max_connections);
         } else {
-            return usage(argv[0]);
+            return usageError("unknown flag '" + arg + "'");
         }
+        if (!ok)
+            return usageError(value ? "bad value '" + std::string(value) +
+                                          "' for " + arg
+                                    : arg + " needs a value");
     }
 
     GraphService service(cfg);
