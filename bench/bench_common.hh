@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -185,22 +186,78 @@ struct TelemetryCli
     }
 };
 
+// Set per bench target by bench/CMakeLists.txt; other includers (the
+// sweep-determinism test) write no records.
+#ifndef GMOMS_BUILD_TYPE
+#define GMOMS_BUILD_TYPE "unknown"
+#endif
+#ifndef GMOMS_SOURCE_DIR
+#define GMOMS_SOURCE_DIR ""
+#endif
+
+#if defined(__clang__)
+#define GMOMS_BENCH_COMPILER "clang " __clang_version__
+#elif defined(__GNUC__)
+#define GMOMS_BENCH_COMPILER "gcc " __VERSION__
+#else
+#define GMOMS_BENCH_COMPILER "unknown"
+#endif
+
+/** `git describe --always --dirty` of the source tree the bench was
+ *  built from (GMOMS_SOURCE_DIR), or "none" outside a git checkout. */
+inline std::string
+gitDescribe()
+{
+    const std::string dir = GMOMS_SOURCE_DIR;
+    if (dir.empty())
+        return "none";
+    const std::string parent = dir.substr(0, dir.find_last_of('/'));
+    const std::string cmd = "GIT_CEILING_DIRECTORIES='" + parent +
+                            "' git -C '" + dir +
+                            "' describe --always --dirty 2>/dev/null";
+    std::string out;
+    if (FILE* pipe = popen(cmd.c_str(), "r")) {
+        char buf[256];
+        while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+            out += buf;
+        if (pclose(pipe) != 0)
+            out.clear();
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+    return out.empty() ? "none" : out;
+}
+
 /**
  * Write @p report to @p path atomically: serialize into "<path>.tmp"
  * in full, then rename over the target. A crash (or two bench
  * processes racing on the same output) can never leave a truncated,
  * half-written JSON file behind — consumers see either the old
  * complete file or the new complete file.
+ *
+ * Every record leads with what produced it: `host_cpus`, `build_type`
+ * (CMAKE_BUILD_TYPE of the bench build), `compiler` and `git_describe`,
+ * so a figure is never read without its host and build.
  */
 inline bool
 writeReportAtomically(const std::string& path, const JsonReport& report)
 {
+    JsonReport stamped;
+    stamped
+        .set("host_cpus",
+             static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+        .set("build_type", std::string(GMOMS_BUILD_TYPE))
+        .set("compiler", std::string(GMOMS_BENCH_COMPILER))
+        .set("git_describe", gitDescribe());
+    for (const auto& [key, value] : report.entries())
+        stamped.set(key, value);
+
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp);
         if (!os)
             return false;
-        report.write(os);
+        stamped.write(os);
         os << '\n';
         if (!os)
             return false;

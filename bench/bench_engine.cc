@@ -7,17 +7,19 @@
  * ablation_die_crossing and fig12_hitrate) under both engine modes,
  * checks bit-exact cycle/result agreement, and reports wall-clock
  * speedup. Further sections cover the telemetry and hardening overhead
- * contracts and checkpoint capture/restore/fork latency. main() owns
+ * contracts, a per-component-kind host profile of the dense UK
+ * PageRank run (paper18x16TwoLevel) with its own overhead, and
+ * checkpoint capture/restore/fork latency. main() owns
  * the EngineRecord below and writes it once, atomically, as
  * BENCH_engine.json ($GMOMS_BENCH_ENGINE_JSON overrides the path); no
  * other binary writes that file. Exits 1 if any bit-exactness check
  * fails.
  */
 
-#include <thread>
-
 #include "bench/bench_common.hh"
 #include "src/accel/checkpoint.hh"
+#include "src/serve/job.hh"
+#include "src/sim/host_profile.hh"
 
 using namespace gmoms;
 using namespace gmoms::bench;
@@ -295,6 +297,77 @@ main()
                     : "CHECKS CHANGED RESULTS — the hardening layer is "
                       "not observation-only");
 
+    // Host profile: where serial simulator time goes, per component
+    // kind, on the dense UK PageRank run. Profiling must only read the
+    // host clock: cycles and values are checked against a plain run.
+    std::printf("\n=== Host profile: UK PageRank, paper18x16TwoLevel "
+                "(ns of host time per simulated cycle) ===\n");
+    const CooGraph& uk = *loadDataset("UK");
+    Session prof_session = SessionBuilder()
+                               .datasetView(uk)
+                               .config(AccelConfig::paper18x16TwoLevel())
+                               .build();
+    struct ProfiledRun
+    {
+        RunResult result;
+        double wall_seconds = 0;
+    };
+    auto runProfiled = [&](HostProfile* profile) {
+        Accelerator accel(prof_session.config(), prof_session.partition(),
+                          AlgoSpec::pageRank(uk, pagerankIterations()));
+        accel.setHostProfile(profile);
+        ProfiledRun out;
+        WallTimer timer;
+        out.result = accel.run();
+        out.wall_seconds = timer.elapsedSeconds();
+        return out;
+    };
+    const ProfiledRun plain = runProfiled(nullptr);
+    HostProfile profile;
+    const ProfiledRun profiled = runProfiled(&profile);
+    const std::uint64_t plain_sum =
+        serve::valuesChecksum(plain.result.raw_values);
+    const std::uint64_t profiled_sum =
+        serve::valuesChecksum(profiled.result.raw_values);
+    const bool profile_exact = plain.result.cycles ==
+                                   profiled.result.cycles &&
+                               plain_sum == profiled_sum;
+    const double cycles = static_cast<double>(profiled.result.cycles);
+    const double total_ns = static_cast<double>(profile.totalNs());
+    Table prof_table({"kind", "ticks/cycle", "ns/cycle", "share"});
+    JsonReport prof_json;
+    for (const HostProfile::Row& row : profile.rows()) {
+        const double ns_per_cycle = static_cast<double>(row.ns) / cycles;
+        prof_table.addRow(
+            {row.kind, fmt(static_cast<double>(row.ticks) / cycles, 2),
+             fmt(ns_per_cycle, 1),
+             fmt(100.0 * static_cast<double>(row.ns) / total_ns, 1) +
+                 "%"});
+        prof_json.set(row.kind + ".ns_per_cycle", ns_per_cycle);
+    }
+    prof_table.print();
+    const double profile_overhead =
+        plain.wall_seconds > 0
+            ? profiled.wall_seconds / plain.wall_seconds - 1.0
+            : 0.0;
+    std::printf("\n%llu cycles, %.0f simulated cycles/s unprofiled; "
+                "profiling overhead %.1f%% (%.2f s vs %.2f s).\n",
+                static_cast<unsigned long long>(plain.result.cycles),
+                plain.wall_seconds > 0 ? cycles / plain.wall_seconds : 0.0,
+                100.0 * profile_overhead, profiled.wall_seconds,
+                plain.wall_seconds);
+    std::printf("%s.\n",
+                profile_exact
+                    ? "Profiling left cycles and values_checksum "
+                      "bit-identical"
+                    : "PROFILING CHANGED RESULTS — the host profile is "
+                      "not observation-only");
+    prof_json.set("cycles", static_cast<std::uint64_t>(plain.result.cycles))
+        .set("values_checksum", plain_sum)
+        .set("plain_wall_seconds", plain.wall_seconds)
+        .set("profiled_wall_seconds", profiled.wall_seconds)
+        .set("overhead", profile_overhead);
+
     // Checkpoint latency: what a library caller pays to save a warm
     // session once versus forking it per run.
     const AccelConfig ref_cfg =
@@ -335,9 +408,8 @@ main()
         .set("forks_timed", static_cast<std::uint64_t>(kForks));
 
     JsonReport report;
-    report.set("host_cpus", static_cast<std::uint64_t>(
-                                std::thread::hardware_concurrency()));
     record.appendTo(report);
+    report.set("host_profile", JsonReport::Raw{prof_json.str()});
     report.set("checkpoint", JsonReport::Raw{ckpt.str()});
     const char* env = std::getenv("GMOMS_BENCH_ENGINE_JSON");
     const std::string path = env ? env : "BENCH_engine.json";
@@ -346,5 +418,5 @@ main()
     else
         std::printf("\ncould not write %s\n", path.c_str());
 
-    return exact && tele_exact && check_exact ? 0 : 1;
+    return exact && tele_exact && check_exact && profile_exact ? 0 : 1;
 }

@@ -45,7 +45,10 @@
  * >= 10x the baseline jobs/sec; either miss exits non-zero.
  * `--tcp HOST:PORT` drives an external
  * `gmoms_serve --listen` instead of in-process servers (CI net-smoke),
- * sending one final quit so the server drains and exits cleanly.
+ * sending one final quit so the server drains and exits cleanly. A
+ * PORT that is not a whole number in 1-65535, a missing value or an
+ * unknown flag prints the usage and exits 2 before any load runs;
+ * --help prints it and exits 0.
  *
  * A rate-limit section floods one tenant through an in-process TCP
  * server with a small token bucket and checks the 429 contract:
@@ -60,6 +63,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -710,6 +714,42 @@ runTcpLevel(net::LineClient& client, const TcpLevel& level,
 
 // ====================================================================
 
+constexpr const char* kUsage =
+    "usage: bench_serve [--smoke] [--tcp HOST:PORT]\n"
+    "  --smoke          fewer levels and jobs (CI)\n"
+    "  --tcp HOST:PORT  drive an external gmoms_serve --listen server;\n"
+    "                   PORT is 1-65535\n";
+
+/** Print @p problem and the usage to stderr; the exit code for bad
+ *  command lines. */
+int
+usageError(const std::string& problem)
+{
+    std::fprintf(stderr, "bench_serve: %s\n%s", problem.c_str(), kUsage);
+    return 2;
+}
+
+/** Split "HOST:PORT" into @p host and @p port; the port must be a
+ *  whole decimal token in 1-65535. */
+bool
+parseHostPort(const std::string& text, std::string& host,
+              std::uint16_t& port)
+{
+    const std::size_t colon = text.rfind(':');
+    if (colon == std::string::npos || colon == 0)
+        return false;
+    const char* first = text.c_str() + colon + 1;
+    const char* last = text.c_str() + text.size();
+    unsigned value = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last || first == last || value == 0 ||
+        value > 65535)
+        return false;
+    host = text.substr(0, colon);
+    port = static_cast<std::uint16_t>(value);
+    return true;
+}
+
 } // namespace
 
 int
@@ -717,11 +757,26 @@ main(int argc, char** argv)
 {
     bool smoke = false;
     std::string tcp_external;  // HOST:PORT of an external gmoms_serve
+    std::string tcp_host;
+    std::uint16_t tcp_port = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
+        const std::string arg = argv[i];
+        if (arg == "--help") {
+            std::printf("%s", kUsage);
+            return 0;
+        }
+        if (arg == "--smoke") {
             smoke = true;
-        else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)
+        } else if (arg == "--tcp") {
+            if (i + 1 >= argc)
+                return usageError("--tcp needs HOST:PORT");
             tcp_external = argv[++i];
+            if (!parseHostPort(tcp_external, tcp_host, tcp_port))
+                return usageError("bad --tcp argument '" + tcp_external +
+                                  "' (HOST:PORT, PORT in 1-65535)");
+        } else {
+            return usageError("unknown flag '" + arg + "'");
+        }
     }
 
     std::printf("=== Serving-layer load bench (open-loop%s) ===\n\n",
@@ -934,17 +989,8 @@ main(int argc, char** argv)
         std::string host = "127.0.0.1";
         std::uint16_t port = 0;
         if (!tcp_external.empty()) {
-            const std::size_t colon = tcp_external.rfind(':');
-            if (colon == std::string::npos) {
-                std::printf("bad --tcp argument \"%s\" (HOST:PORT)\n",
-                            tcp_external.c_str());
-                tcp_failed = true;
-                available = false;
-            } else {
-                host = tcp_external.substr(0, colon);
-                port = static_cast<std::uint16_t>(
-                    std::atoi(tcp_external.c_str() + colon + 1));
-            }
+            host = tcp_host;  // validated by the argument parser
+            port = tcp_port;
         } else {
             InProcessServer probe;
             std::string error;

@@ -27,7 +27,7 @@ BM_CuckooMshrInsertFindErase(benchmark::State& state)
 {
     const std::uint32_t capacity =
         static_cast<std::uint32_t>(state.range(0));
-    CuckooMshr file(capacity, 4, 8);
+    MshrFile file = MshrFile::cuckoo(capacity, 4, 8);
     Rng rng(1);
     std::vector<Addr> lines;
     for (std::uint32_t i = 0; i < capacity / 2; ++i)
@@ -47,7 +47,7 @@ BENCHMARK(BM_CuckooMshrInsertFindErase)->Arg(1024)->Arg(8192);
 void
 BM_AssocMshrFind(benchmark::State& state)
 {
-    AssocMshr file(16);
+    MshrFile file = MshrFile::associative(16);
     for (Addr i = 0; i < 16; ++i)
         file.insert(i * kLineBytes);
     Addr probe = 0;

@@ -52,6 +52,12 @@ AccelConfig::validateProblems() const
 
     if (num_pes == 0)
         problems.push_back("num_pes must be > 0");
+    if (num_pes > SubentryStore::kMaxClients)
+        problems.push_back(
+            "num_pes must be <= " +
+            std::to_string(SubentryStore::kMaxClients) +
+            " (MOMS subentries hold a 16-bit client index); got " +
+            std::to_string(num_pes));
 
     switch (mem.kind) {
       case MemKind::Ddr4:

@@ -74,6 +74,14 @@ class Accelerator
     RunResult run();
 
     const Engine& engine() const { return engine_; }
+
+    /** Attach (or detach, with nullptr) a host-time profile to the
+     *  engine; see HostProfile. Results are unchanged. */
+    void setHostProfile(HostProfile* profile)
+    {
+        engine_.setHostProfile(profile);
+    }
+
     const MemorySystem& mem() const { return *mem_; }
     const MomsSystem& moms() const { return *moms_; }
     const std::vector<std::unique_ptr<Pe>>& pes() const { return pes_; }

@@ -11,17 +11,14 @@ MomsBank::MomsBank(const Engine& engine, std::string name,
                    const MomsBankConfig& cfg)
     : Component(std::move(name)), engine_(engine), cfg_(cfg),
       cache_(cfg.cache_bytes, cfg.cache_ways),
+      mshrs_(cfg.assoc_mshr
+                 ? MshrFile::associative(cfg.num_mshrs)
+                 : MshrFile::cuckoo(cfg.num_mshrs, cfg.mshr_tables,
+                                    cfg.max_kicks)),
       subentries_(cfg.num_subentries),
       cpu_req_in_(engine, cfg.req_queue_depth, cfg.req_latency),
       cpu_resp_out_(engine, cfg.resp_queue_depth, cfg.resp_latency)
 {
-    if (cfg.assoc_mshr) {
-        mshrs_ = std::make_unique<AssocMshr>(cfg.num_mshrs);
-    } else {
-        mshrs_ = std::make_unique<CuckooMshr>(cfg.num_mshrs,
-                                              cfg.mshr_tables,
-                                              cfg.max_kicks);
-    }
     // Wake on request arrival and on response-queue backpressure
     // release (a blocked hit/drain can proceed).
     cpu_req_in_.setConsumer(this);
@@ -40,7 +37,7 @@ MomsBank::nextActivity() const
     // when they are not poppable yet — queue hooks only cover pushes
     // that happen while the bank is asleep.
     Cycle next = cpu_req_in_.peekReadyCycle();
-    if (mshrs_->occupancy() > 0 && down_ != nullptr)
+    if (mshrs_.occupancy() > 0 && down_ != nullptr)
         next = std::min(next, down_->lineReadyCycle());
     return next;
 }
@@ -77,14 +74,14 @@ MomsBank::tick()
     // 2. One input operation: a returning line takes priority over a
     //    request (pipeline sharing, Section V-E). Polling downstream
     //    is pointless without outstanding misses.
-    if (drain_pending_.size() < 4 && mshrs_->occupancy() > 0) {
+    if (drain_pending_.size() < 4 && mshrs_.occupancy() > 0) {
         if (std::optional<Addr> line = down_->receive()) {
-            MshrEntry* entry = mshrs_->find(*line);
+            MshrEntry* entry = mshrs_.find(*line);
             if (!entry)
                 panic("line response without an MSHR entry");
             ++stats_.lines_from_mem;
             drain_pending_.emplace_back(*line, entry->subentry_head);
-            mshrs_->erase(*line);
+            mshrs_.erase(*line);
             cache_.fill(*line);
             return;
         }
@@ -109,7 +106,7 @@ MomsBank::processRequest(const ReadReq& req)
 {
     const Addr line = lineOf(req.addr);
 
-    if (MshrEntry* entry = mshrs_->find(line)) {
+    if (MshrEntry* entry = mshrs_.find(line)) {
         // Secondary miss (MSHR hit): equivalent to a cache hit from a
         // throughput perspective — no new memory request.
         if (cfg_.max_subentries_per_miss != 0 &&
@@ -149,7 +146,7 @@ MomsBank::processRequest(const ReadReq& req)
         ++stats_.stall_downstream;
         return false;
     }
-    MshrEntry* entry = mshrs_->insert(line);
+    MshrEntry* entry = mshrs_.insert(line);
     if (!entry) {
         ++stats_.stall_mshr;
         return false;
@@ -168,7 +165,7 @@ MomsBank::idle() const
 {
     return cpu_req_in_.empty() && cpu_resp_out_.empty() && !retry_ &&
            drain_cursor_ == kNoSubentry && drain_pending_.empty() &&
-           mshrs_->occupancy() == 0;
+           mshrs_.occupancy() == 0;
 }
 
 void
@@ -205,7 +202,7 @@ MomsBank::registerTelemetry(Telemetry& tele, const std::string& group,
                     &stats_.secondary_misses);
     tele.addCounter(group + ".lines_from_mem", &stats_.lines_from_mem);
     tele.addLevel(group + ".mshr_occupancy", [this] {
-        return static_cast<double>(mshrs_->occupancy());
+        return static_cast<double>(mshrs_.occupancy());
     });
     cpu_req_in_.attachProbe(tele.makeQueueProbe(
         name() + ".req_in", cpu_req_in_.capacity()));

@@ -22,7 +22,6 @@
 #define GMOMS_CACHE_MOMS_BANK_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -147,13 +146,13 @@ class MomsBank : public Component
 
     const Stats& stats() const { return stats_; }
     const CacheArray& cache() const { return cache_; }
-    const MshrFile& mshrs() const { return *mshrs_; }
+    const MshrFile& mshrs() const { return mshrs_; }
     const SubentryStore& subentries() const { return subentries_; }
     const MomsBankConfig& config() const { return cfg_; }
 
     /** Mutable MSHR file, for the hardening-layer regression tests
      *  (leak injection: insert() an entry nobody will ever free). */
-    MshrFile& mshrsForTest() { return *mshrs_; }
+    MshrFile& mshrsForTest() { return mshrs_; }
 
     void registerStats(StatRegistry& reg) const;
 
@@ -173,7 +172,7 @@ class MomsBank : public Component
     const Engine& engine_;
     MomsBankConfig cfg_;
     CacheArray cache_;
-    std::unique_ptr<MshrFile> mshrs_;
+    MshrFile mshrs_;
     SubentryStore subentries_;
     LineDownstream* down_ = nullptr;
 

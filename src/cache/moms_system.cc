@@ -205,78 +205,6 @@ struct MomsSystem::SharedLevelAdapter : public LineDownstream
     std::uint32_t client;
 };
 
-/** PE port wired straight into a private bank. */
-struct MomsSystem::BankDirectPort : public SourcePort
-{
-    BankDirectPort(MomsBank& bank, std::uint32_t client)
-        : bank(bank), client(client) {}
-
-    bool canSend() const override { return bank.cpuReqIn().canPush(); }
-    bool
-    send(const ReadReq& req) override
-    {
-        ReadReq r = req;
-        r.client = client;
-        return bank.cpuReqIn().push(r);
-    }
-    std::optional<ReadResp>
-    receive() override
-    {
-        if (bank.cpuRespOut().canPop())
-            return bank.cpuRespOut().pop();
-        return std::nullopt;
-    }
-    Cycle responseReadyCycle() const override
-    {
-        return bank.cpuRespOut().peekReadyCycle();
-    }
-    void bindClient(Component* pe) override
-    {
-        bank.cpuReqIn().setProducer(pe);
-        bank.cpuRespOut().setConsumer(pe);
-    }
-
-    MomsBank& bank;
-    std::uint32_t client;
-};
-
-/** PE port wired into the crossbar (shared-only topology). */
-struct MomsSystem::CrossbarPort : public SourcePort
-{
-    CrossbarPort(TimedQueue<ReadReq>& req, TimedQueue<ReadResp>& resp,
-                 std::uint32_t client)
-        : req(req), resp(resp), client(client) {}
-
-    bool canSend() const override { return req.canPush(); }
-    bool
-    send(const ReadReq& r) override
-    {
-        ReadReq rr = r;
-        rr.client = client;
-        return req.push(rr);
-    }
-    std::optional<ReadResp>
-    receive() override
-    {
-        if (resp.canPop())
-            return resp.pop();
-        return std::nullopt;
-    }
-    Cycle responseReadyCycle() const override
-    {
-        return resp.peekReadyCycle();
-    }
-    void bindClient(Component* pe) override
-    {
-        req.setProducer(pe);
-        resp.setConsumer(pe);
-    }
-
-    TimedQueue<ReadReq>& req;
-    TimedQueue<ReadResp>& resp;
-    std::uint32_t client;
-};
-
 // ---------------------------------------------------------------------
 // MomsSystem
 // ---------------------------------------------------------------------
@@ -287,16 +215,30 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
                        const std::string& name_prefix)
     : Component(name_prefix + "moms"), engine_(engine), mem_(mem),
       cfg_(cfg),
-      num_pes_(num_pes), num_channels_(mem.numChannels())
+      num_pes_(num_pes), num_channels_(mem.numChannels()),
+      xbar_req_pending_(cfg.topology != MomsConfig::Topology::Private
+                            ? num_pes
+                            : 0),
+      bank_resp_pending_(cfg.topology != MomsConfig::Topology::Private
+                             ? cfg.num_shared_banks
+                             : 0)
 {
     const bool has_shared = cfg.topology != MomsConfig::Topology::Private;
     const bool has_private = cfg.topology != MomsConfig::Topology::Shared;
+
+    if (num_pes > SubentryStore::kMaxClients)
+        fatal("MomsSystem supports at most " +
+              std::to_string(SubentryStore::kMaxClients) +
+              " clients (16-bit subentry client index); got " +
+              std::to_string(num_pes));
 
     if (has_shared) {
         if (cfg.num_shared_banks == 0 ||
             cfg.num_shared_banks % num_channels_ != 0)
             fatal("shared bank count must be a nonzero multiple of the "
                   "channel count (static bank-to-channel binding)");
+        banks_per_channel_ = cfg.num_shared_banks / num_channels_;
+        pow2_banks_per_channel_ = isPow2(banks_per_channel_);
         for (std::uint32_t b = 0; b < cfg.num_shared_banks; ++b) {
             shared_banks_.push_back(std::make_unique<MomsBank>(
                 engine, name_prefix + "moms.shared" + std::to_string(b),
@@ -322,7 +264,11 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
             // queue and drains its response queue.
             shared_banks_.back()->cpuReqIn().setProducer(this);
             shared_banks_.back()->cpuRespOut().setConsumer(this);
+            bank_resp_pending_.track(shared_banks_.back()->cpuRespOut(),
+                                     b);
         }
+        bank_claimed_.assign(cfg.num_shared_banks, 0);
+        client_claimed_.assign(num_pes, 0);
     }
 
     // Crossbar client queues: one pair per PE/private bank.
@@ -336,6 +282,7 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
                 engine, cap, cfg.crossing_latency));
             xbar_req_.back()->setConsumer(this);
             xbar_resp_.back()->setProducer(this);
+            xbar_req_pending_.track(*xbar_req_.back(), c);
         }
     }
 
@@ -376,14 +323,15 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
         }
     }
 
+    // PE ports: straight into the private bank, or (shared-only) into
+    // the crossbar's client queues.
+    pe_ports_.reserve(num_pes);
     for (std::uint32_t p = 0; p < num_pes; ++p) {
-        if (has_private) {
-            pe_ports_.push_back(std::make_unique<BankDirectPort>(
-                *private_banks_[p], p));
-        } else {
-            pe_ports_.push_back(std::make_unique<CrossbarPort>(
-                *xbar_req_[p], *xbar_resp_[p], p));
-        }
+        if (has_private)
+            pe_ports_.emplace_back(private_banks_[p]->cpuReqIn(),
+                                   private_banks_[p]->cpuRespOut(), p);
+        else
+            pe_ports_.emplace_back(*xbar_req_[p], *xbar_resp_[p], p);
     }
 
     engine.add(this);
@@ -394,13 +342,12 @@ MomsSystem::~MomsSystem() = default;
 std::uint32_t
 MomsSystem::bankOf(Addr line) const
 {
-    const std::uint32_t per_channel =
-        static_cast<std::uint32_t>(shared_banks_.size()) / num_channels_;
     const std::uint32_t ch = mem_.channelOf(line);
     const std::uint64_t h = (line / kLineBytes) * 0x9e3779b97f4a7c15ull;
-    const std::uint32_t sub =
-        static_cast<std::uint32_t>((h >> 33) % per_channel);
-    return ch * per_channel + sub;
+    const std::uint32_t sub = static_cast<std::uint32_t>(
+        pow2_banks_per_channel_ ? (h >> 33) & (banks_per_channel_ - 1)
+                                : (h >> 33) % banks_per_channel_);
+    return ch * banks_per_channel_ + sub;
 }
 
 Cycle
@@ -412,11 +359,29 @@ MomsSystem::nextActivity() const
     // already travelling through a crossbar queue or a bank response
     // port bounds the next arbitration cycle even if not poppable yet.
     Cycle next = kCycleNever;
-    for (const auto& q : xbar_req_)
-        next = std::min(next, q->peekReadyCycle());
-    for (const auto& b : shared_banks_)
-        next = std::min(next, b->cpuRespOut().peekReadyCycle());
+    xbar_req_pending_.forEach([&](std::size_t c) {
+        next = std::min(next, xbar_req_[c]->peekReadyCycle());
+    });
+    bank_resp_pending_.forEach([&](std::size_t b) {
+        next = std::min(next,
+                        shared_banks_[b]->cpuRespOut().peekReadyCycle());
+    });
     return next;
+}
+
+void
+MomsSystem::advanceRoundRobin(Cycle cycles)
+{
+    const std::uint32_t clients =
+        static_cast<std::uint32_t>(xbar_req_.size());
+    const std::uint32_t banks =
+        static_cast<std::uint32_t>(shared_banks_.size());
+    xbar_req_rr_ =
+        static_cast<std::uint32_t>((xbar_req_rr_ + cycles % clients) %
+                                   clients);
+    xbar_resp_rr_ =
+        static_cast<std::uint32_t>((xbar_resp_rr_ + cycles % banks) %
+                                   banks);
 }
 
 void
@@ -425,12 +390,8 @@ MomsSystem::catchUp(Cycle upto)
     if (shared_banks_.empty() || upto <= rr_accounted_until_)
         return;
     // Under full tick the arbitration pointers advance once per cycle
-    // whether or not any token moves; reproduce the skipped increments
-    // (uint32 wraparound matches repeated ++).
-    const std::uint32_t gap =
-        static_cast<std::uint32_t>(upto - rr_accounted_until_);
-    xbar_req_rr_ += gap;
-    xbar_resp_rr_ += gap;
+    // whether or not any token moves; reproduce the skipped steps.
+    advanceRoundRobin(upto - rr_accounted_until_);
     rr_accounted_until_ = upto;
 }
 
@@ -441,9 +402,11 @@ MomsSystem::tick()
         return;  // private-only: banks talk to DRAM directly
 
     // Account arbitration-pointer drift over any skipped cycles; this
-    // tick's own increments (below) cover the current cycle.
-    catchUp(engine_.now());
-    rr_accounted_until_ = engine_.now() + 1;
+    // tick's own step (below) covers the current cycle.
+    const Cycle now = engine_.now();
+    if (now > rr_accounted_until_)
+        advanceRoundRobin(now - rr_accounted_until_);
+    rr_accounted_until_ = now + 1;
 
     const std::uint32_t clients =
         static_cast<std::uint32_t>(xbar_req_.size());
@@ -451,67 +414,66 @@ MomsSystem::tick()
         static_cast<std::uint32_t>(shared_banks_.size());
 
     // Request crossbar: each bank accepts at most one request per
-    // cycle. Single O(clients) pass in rotating priority order: a
-    // client whose head request targets an already-claimed bank loses
-    // the conflict this cycle (that is the bank-conflict bottleneck of
-    // Section II).
+    // cycle. Single pass over the clients holding a request, in
+    // rotating priority order: a client whose head request targets an
+    // already-claimed bank loses the conflict this cycle (that is the
+    // bank-conflict bottleneck of Section II).
     // Claim markers are epoch stamps (claimed == stamp equals this
     // tick's epoch), so an arbitration pass costs no O(banks) clear on
     // the many cycles where nothing moves.
-    bank_claimed_.resize(banks, 0);
-    client_claimed_.resize(clients, 0);
     const std::uint64_t epoch = ++claim_epoch_;
-    for (std::uint32_t i = 0; i < clients; ++i) {
-        const std::uint32_t c = (xbar_req_rr_ + i) % clients;
-        if (!xbar_req_[c]->canPop())
-            continue;
-        const std::uint32_t b =
-            bankOf(lineOf(xbar_req_[c]->front().addr));
+    xbar_req_pending_.forEachFrom(xbar_req_rr_, [&](std::size_t c) {
+        TimedQueue<ReadReq>& q = *xbar_req_[c];
+        if (!q.canPop())
+            return false;
+        const std::uint32_t b = bankOf(lineOf(q.front().addr));
         if (bank_claimed_[b] == epoch) {
             ++xbar_stats_.req_conflicts;
-            continue;
+            return false;
         }
         MomsBank& bank = *shared_banks_[b];
         if (!bank.cpuReqIn().canPush()) {
             ++xbar_stats_.req_bank_busy;
-            continue;
+            return false;
         }
         if (faults_ && faults_->drop_next_request) {
             faults_->drop_next_request = false;
-            xbar_req_[c]->pop();  // token vanishes: never reaches a bank
+            q.pop();  // token vanishes: never reaches a bank
             bank_claimed_[b] = epoch;
-            continue;
+            return false;
         }
-        bank.cpuReqIn().push(xbar_req_[c]->pop());
+        bank.cpuReqIn().push(q.pop());
         bank_claimed_[b] = epoch;
-    }
-    ++xbar_req_rr_;
+        return false;
+    });
+    xbar_req_rr_ = xbar_req_rr_ + 1 == clients ? 0 : xbar_req_rr_ + 1;
 
     // Response crossbar: each client receives at most one response per
-    // cycle; single O(banks) pass in rotating priority order.
-    for (std::uint32_t i = 0; i < banks; ++i) {
-        const std::uint32_t b = (xbar_resp_rr_ + i) % banks;
-        MomsBank& bank = *shared_banks_[b];
-        if (!bank.cpuRespOut().canPop())
-            continue;
-        const std::uint32_t c = bank.cpuRespOut().front().client;
+    // cycle; single pass over the banks holding a response, in
+    // rotating priority order.
+    bank_resp_pending_.forEachFrom(xbar_resp_rr_, [&](std::size_t b) {
+        TimedQueue<ReadResp>& out = shared_banks_[b]->cpuRespOut();
+        if (!out.canPop())
+            return false;
+        const std::uint32_t c = out.front().client;
         if (client_claimed_[c] == epoch) {
             ++xbar_stats_.resp_conflicts;
-            continue;
+            return false;
         }
         if (faults_ && faults_->stuck_client ==
                            static_cast<std::int32_t>(c)) {
             ++xbar_stats_.resp_backpressure;  // credit never comes back
-            continue;
+            return false;
         }
         if (!xbar_resp_[c]->canPush()) {
             ++xbar_stats_.resp_backpressure;
-            continue;
+            return false;
         }
-        xbar_resp_[c]->push(bank.cpuRespOut().pop());
+        xbar_resp_[c]->push(out.pop());
         client_claimed_[c] = epoch;
-    }
-    ++xbar_resp_rr_;
+        return false;
+    });
+    xbar_resp_rr_ = xbar_resp_rr_ + 1 == banks ? 0 : xbar_resp_rr_ + 1;
 }
 
 void

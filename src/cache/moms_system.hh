@@ -28,26 +28,64 @@
 #include "src/cache/moms_bank.hh"
 #include "src/mem/memory_system.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/occupancy_set.hh"
 
 namespace gmoms
 {
 
-/** What a PE sees: a port for short irregular source-node reads. */
+/**
+ * What a PE sees: a port for short irregular source-node reads. It is
+ * the PE's (request, response) queue pair into the MOMS — the private
+ * bank's own queues, or the crossbar's client queues in the shared-only
+ * topology — plus the client index stamped on every request for
+ * response routing.
+ */
 class SourcePort
 {
   public:
-    virtual ~SourcePort() = default;
-    virtual bool canSend() const = 0;
-    virtual bool send(const ReadReq& req) = 0;
-    virtual std::optional<ReadResp> receive() = 0;
+    SourcePort(TimedQueue<ReadReq>& req, TimedQueue<ReadResp>& resp,
+               std::uint32_t client)
+        : req_(&req), resp_(&resp), client_(client)
+    {
+    }
+
+    bool canSend() const { return req_->canPush(); }
+
+    bool
+    send(const ReadReq& req)
+    {
+        ReadReq r = req;
+        r.client = client_;
+        return req_->push(r);
+    }
+
+    std::optional<ReadResp>
+    receive()
+    {
+        if (resp_->canPop())
+            return resp_->pop();
+        return std::nullopt;
+    }
+
     /** Earliest cycle receive() may yield a response — kCycleNever
-     *  when nothing is in flight. Must report in-flight responses (not
+     *  when nothing is in flight. Reports in-flight responses (not
      *  just currently-poppable ones) so a sleeping PE is re-armed by
      *  its own quiescence check; see LineDownstream::lineReadyCycle(). */
-    virtual Cycle responseReadyCycle() const = 0;
+    Cycle responseReadyCycle() const { return resp_->peekReadyCycle(); }
+
     /** Bind the requesting PE for engine wake-ups: woken when a
      *  response becomes poppable and when a full request path frees. */
-    virtual void bindClient(Component* pe) = 0;
+    void
+    bindClient(Component* pe)
+    {
+        req_->setProducer(pe);
+        resp_->setConsumer(pe);
+    }
+
+  private:
+    TimedQueue<ReadReq>* req_;
+    TimedQueue<ReadResp>* resp_;
+    std::uint32_t client_;
 };
 
 struct MomsConfig
@@ -148,7 +186,7 @@ class MomsSystem : public Component
                const std::string& name_prefix = "");
     ~MomsSystem() override;
 
-    SourcePort& pePort(std::uint32_t pe) { return *pe_ports_[pe]; }
+    SourcePort& pePort(std::uint32_t pe) { return pe_ports_[pe]; }
 
     /** Crossbar movement for shared topologies; banks tick themselves. */
     void tick() override;
@@ -218,11 +256,13 @@ class MomsSystem : public Component
   private:
     struct DramAdapter;
     struct SharedLevelAdapter;
-    struct BankDirectPort;
-    struct CrossbarPort;
 
     /** Shared bank that owns @p line (channel-aware hash). */
     std::uint32_t bankOf(Addr line) const;
+
+    /** Advance the arbitration pointers over @p cycles cycles (one
+     *  step per cycle, as the full-tick engine does). */
+    void advanceRoundRobin(Cycle cycles);
 
     Engine& engine_;
     MemorySystem& mem_;
@@ -230,22 +270,28 @@ class MomsSystem : public Component
     std::uint32_t num_pes_ = 0;
     std::uint32_t num_channels_ = 0;
     std::uint32_t mem_ports_used_ = 0;
+    std::uint32_t banks_per_channel_ = 0;
+    bool pow2_banks_per_channel_ = false;  //!< bankOf() masks, no %
 
     std::vector<std::unique_ptr<MomsBank>> shared_banks_;
     std::vector<std::unique_ptr<MomsBank>> private_banks_;
     std::vector<std::unique_ptr<LineDownstream>> downstreams_;
     std::vector<std::unique_ptr<BurstAssembler>> assemblers_;
-    std::vector<std::unique_ptr<SourcePort>> pe_ports_;
+    std::vector<SourcePort> pe_ports_;
 
     // Crossbar queues (client side) for shared topologies. For
     // TwoLevel the "clients" are the private banks.
     std::vector<std::unique_ptr<TimedQueue<ReadReq>>> xbar_req_;
     std::vector<std::unique_ptr<TimedQueue<ReadResp>>> xbar_resp_;
-    std::uint32_t xbar_req_rr_ = 0;
-    std::uint32_t xbar_resp_rr_ = 0;
+    /** Clients whose request queue, and shared banks whose response
+     *  queue, holds a token: the only ones arbitration visits. */
+    OccupancySet xbar_req_pending_;
+    OccupancySet bank_resp_pending_;
+    std::uint32_t xbar_req_rr_ = 0;   //!< in [0, clients)
+    std::uint32_t xbar_resp_rr_ = 0;  //!< in [0, shared banks)
     /** Next cycle the rr pointers have not yet accounted for: under
      *  full tick they advance every cycle; when ticks are skipped the
-     *  missed increments are applied in bulk (tick()/catchUp()). */
+     *  missed steps are applied in bulk (tick()/catchUp()). */
     Cycle rr_accounted_until_ = 0;
     // Per-cycle arbitration scratch (members to avoid reallocation).
     // "Claimed this cycle" == entry equals the current claim epoch, so

@@ -1,78 +1,88 @@
 #include "src/cache/mshr.hh"
 
+#include <algorithm>
+
 #include "src/sim/log.hh"
 
 namespace gmoms
 {
 
-namespace
+MshrFile::MshrFile(std::uint32_t capacity, std::uint32_t tables,
+                   std::uint32_t max_kicks)
+    : tables_(tables), slots_per_table_(tables ? capacity / tables : 0),
+      max_kicks_(max_kicks), keys_(capacity, kEmptyLine),
+      entries_(capacity)
 {
+    kick_path_.reserve(max_kicks);
+}
 
-/** Per-table multiplicative hash constants (odd, high-entropy). */
-constexpr std::uint64_t kHashMul[8] = {
-    0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull,
-    0x27d4eb2f165667c5ull, 0x94d049bb133111ebull, 0xbf58476d1ce4e5b9ull,
-    0xff51afd7ed558ccdull, 0xc4ceb9fe1a85ec53ull,
-};
-
-} // namespace
-
-CuckooMshr::CuckooMshr(std::uint32_t capacity, std::uint32_t tables,
-                       std::uint32_t max_kicks)
-    : tables_(tables), max_kicks_(max_kicks)
+MshrFile
+MshrFile::cuckoo(std::uint32_t capacity, std::uint32_t tables,
+                 std::uint32_t max_kicks)
 {
     if (tables == 0 || tables > 8)
-        fatal("CuckooMshr supports 1-8 tables");
+        fatal("cuckoo MSHR file supports 1-8 tables");
     if (capacity % tables != 0)
-        fatal("CuckooMshr capacity must be a multiple of the table count");
-    slots_per_table_ = capacity / tables;
-    if (!isPow2(slots_per_table_))
-        fatal("CuckooMshr slots per table must be a power of two");
-    entries_.resize(capacity);
+        fatal("cuckoo MSHR capacity must be a multiple of the table "
+              "count");
+    if (!isPow2(capacity / tables))
+        fatal("cuckoo MSHR slots per table must be a power of two");
+    return MshrFile(capacity, tables, max_kicks);
 }
 
-std::uint32_t
-CuckooMshr::slotOf(Addr line, std::uint32_t table) const
+MshrFile
+MshrFile::associative(std::uint32_t capacity)
 {
-    const std::uint64_t h = (line / kLineBytes) * kHashMul[table];
-    return static_cast<std::uint32_t>(h >> 40) & (slots_per_table_ - 1);
+    if (capacity == 0)
+        fatal("associative MSHR capacity must be >= 1");
+    return MshrFile(capacity, /*tables=*/0, /*max_kicks=*/0);
+}
+
+void
+MshrFile::noteInsert()
+{
+    ++stats_.inserts;
+    ++occupancy_;
+    stats_.peak_occupancy =
+        std::max<std::uint64_t>(stats_.peak_occupancy, occupancy_);
 }
 
 MshrEntry*
-CuckooMshr::find(Addr line)
+MshrFile::insert(Addr line)
 {
-    for (std::uint32_t t = 0; t < tables_; ++t) {
-        MshrEntry& e = at(t, slotOf(line, t));
-        if (e.valid && e.line == line)
-            return &e;
+    const MshrEntry fresh{line, kNoSubentry, kNoSubentry, 0, true};
+    if (tables_ == 0) {
+        for (std::uint32_t i = 0; i < keys_.size(); ++i) {
+            if (keys_[i] == kEmptyLine) {
+                place(i, fresh);
+                noteInsert();
+                return &entries_[i];
+            }
+        }
+        ++stats_.insert_failures;
+        return nullptr;
     }
-    return nullptr;
-}
-
-MshrEntry*
-CuckooMshr::insert(Addr line)
-{
     // Fast path: an empty slot in any table.
     for (std::uint32_t t = 0; t < tables_; ++t) {
-        MshrEntry& e = at(t, slotOf(line, t));
-        if (!e.valid) {
-            e = MshrEntry{line, kNoSubentry, kNoSubentry, 0, true};
+        const std::uint32_t i = slotOf(line, t);
+        if (keys_[i] == kEmptyLine) {
+            place(i, fresh);
             noteInsert();
-            return &e;
+            return &entries_[i];
         }
     }
     // Cuckoo path: displace residents, round-robin through tables,
     // recording each swap so a failed insertion can be fully undone
     // (displaced entries own live subentry lists and must not be lost).
-    MshrEntry pending{line, kNoSubentry, kNoSubentry, 0, true};
-    struct Step { std::uint32_t table, slot; };
-    std::vector<Step> path;
-    path.reserve(max_kicks_);
+    MshrEntry pending = fresh;
+    kick_path_.clear();
     std::uint32_t table = 0;
     for (std::uint32_t kick = 0; kick < max_kicks_; ++kick) {
-        const std::uint32_t slot = slotOf(pending.line, table);
-        std::swap(pending, at(table, slot));
-        path.push_back(Step{table, slot});
+        const std::uint32_t i = slotOf(pending.line, table);
+        const MshrEntry resident = entries_[i];
+        place(i, pending);
+        pending = resident;
+        kick_path_.push_back(i);
         ++stats_.cuckoo_kicks;
         if (!pending.valid) {
             noteInsert();
@@ -83,71 +93,39 @@ CuckooMshr::insert(Addr line)
                 panic("cuckoo insert lost the new entry");
             return placed;
         }
-        table = (table + 1) % tables_;
+        table = table + 1 == tables_ ? 0 : table + 1;
     }
     // Give up: unwind the kick chain in reverse, restoring every
-    // displaced entry to its original slot.
-    for (auto it = path.rbegin(); it != path.rend(); ++it)
-        std::swap(pending, at(it->table, it->slot));
-    ++stats_.insert_failures;
-    return nullptr;
-}
-
-void
-CuckooMshr::erase(Addr line)
-{
-    for (std::uint32_t t = 0; t < tables_; ++t) {
-        MshrEntry& e = at(t, slotOf(line, t));
-        if (e.valid && e.line == line) {
-            e.valid = false;
-            --occupancy_;
-            return;
-        }
-    }
-    panic("CuckooMshr::erase: line not present");
-}
-
-AssocMshr::AssocMshr(std::uint32_t capacity)
-{
-    if (capacity == 0)
-        fatal("AssocMshr capacity must be >= 1");
-    entries_.resize(capacity);
-}
-
-MshrEntry*
-AssocMshr::find(Addr line)
-{
-    for (MshrEntry& e : entries_)
-        if (e.valid && e.line == line)
-            return &e;
-    return nullptr;
-}
-
-MshrEntry*
-AssocMshr::insert(Addr line)
-{
-    for (MshrEntry& e : entries_) {
-        if (!e.valid) {
-            e = MshrEntry{line, kNoSubentry, kNoSubentry, 0, true};
-            noteInsert();
-            return &e;
-        }
+    // displaced entry (and its key) to its original slot.
+    for (auto it = kick_path_.rbegin(); it != kick_path_.rend(); ++it) {
+        const MshrEntry displaced = entries_[*it];
+        place(*it, pending);
+        pending = displaced;
     }
     ++stats_.insert_failures;
     return nullptr;
 }
 
 void
-AssocMshr::erase(Addr line)
+MshrFile::erase(Addr line)
 {
-    for (MshrEntry& e : entries_) {
-        if (e.valid && e.line == line) {
-            e.valid = false;
-            --occupancy_;
-            return;
-        }
+    const std::uint32_t i = indexOf(line);
+    if (i == kNotFound)
+        panic("MshrFile::erase: line not present");
+    entries_[i].valid = false;
+    keys_[i] = kEmptyLine;
+    --occupancy_;
+}
+
+bool
+MshrFile::keysMatchEntries() const
+{
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const MshrEntry& e = entries_[i];
+        if (keys_[i] != (e.valid ? e.line : kEmptyLine))
+            return false;
     }
-    panic("AssocMshr::erase: line not present");
+    return true;
 }
 
 } // namespace gmoms

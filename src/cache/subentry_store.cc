@@ -17,41 +17,10 @@ SubentryStore::SubentryStore(std::uint32_t capacity)
     free_head_ = 0;
 }
 
-bool
-SubentryStore::append(MshrEntry& entry, std::uint64_t tag,
-                      std::uint32_t client, std::uint16_t line_offset)
+void
+SubentryStore::badFree()
 {
-    if (free_head_ == kNoSubentry) {
-        ++stats_.alloc_failures;
-        return false;
-    }
-    const std::uint32_t idx = free_head_;
-    free_head_ = pool_[idx].next;
-    pool_[idx] = Subentry{tag, client, line_offset, kNoSubentry};
-    if (entry.subentry_head == kNoSubentry) {
-        entry.subentry_head = idx;
-    } else {
-        pool_[entry.subentry_tail].next = idx;
-    }
-    entry.subentry_tail = idx;
-    ++entry.subentry_count;
-    ++occupancy_;
-    ++stats_.allocations;
-    stats_.peak_occupancy =
-        std::max<std::uint64_t>(stats_.peak_occupancy, occupancy_);
-    return true;
-}
-
-std::uint32_t
-SubentryStore::free(std::uint32_t index)
-{
-    if (index >= pool_.size())
-        panic("SubentryStore::free: bad index");
-    const std::uint32_t next = pool_[index].next;
-    pool_[index].next = free_head_;
-    free_head_ = index;
-    --occupancy_;
-    return next;
+    panic("SubentryStore::free: bad index");
 }
 
 } // namespace gmoms

@@ -24,13 +24,19 @@ namespace gmoms
 class SubentryStore
 {
   public:
+    /** 16 B: the client index fits 16 bits because
+     *  AccelConfig::validateProblems() caps num_pes at 65535. */
     struct Subentry
     {
         std::uint64_t tag = 0;
-        std::uint32_t client = 0;
+        std::uint16_t client = 0;
         std::uint16_t line_offset = 0;  //!< byte offset within the line
         std::uint32_t next = kNoSubentry;
     };
+    static_assert(sizeof(Subentry) == 16);
+
+    /** Most clients (PEs) a bank can serve: indices fit 16 bits. */
+    static constexpr std::uint32_t kMaxClients = 0xffff;
 
     struct Stats
     {
@@ -45,8 +51,30 @@ class SubentryStore
      * Append a subentry to @p entry's list.
      * @return false when the pool is exhausted (the bank stalls).
      */
-    bool append(MshrEntry& entry, std::uint64_t tag, std::uint32_t client,
-                std::uint16_t line_offset);
+    bool
+    append(MshrEntry& entry, std::uint64_t tag, std::uint32_t client,
+           std::uint16_t line_offset)
+    {
+        if (free_head_ == kNoSubentry) {
+            ++stats_.alloc_failures;
+            return false;
+        }
+        const std::uint32_t idx = free_head_;
+        free_head_ = pool_[idx].next;
+        pool_[idx] = Subentry{tag, static_cast<std::uint16_t>(client),
+                              line_offset, kNoSubentry};
+        if (entry.subentry_head == kNoSubentry)
+            entry.subentry_head = idx;
+        else
+            pool_[entry.subentry_tail].next = idx;
+        entry.subentry_tail = idx;
+        ++entry.subentry_count;
+        ++occupancy_;
+        ++stats_.allocations;
+        if (occupancy_ > stats_.peak_occupancy)
+            stats_.peak_occupancy = occupancy_;
+        return true;
+    }
 
     /**
      * Detach @p entry's list head for draining. Returns kNoSubentry when
@@ -63,7 +91,17 @@ class SubentryStore
     }
 
     /** Free one subentry, returning the index of the next in the chain. */
-    std::uint32_t free(std::uint32_t index);
+    std::uint32_t
+    free(std::uint32_t index)
+    {
+        if (index >= pool_.size())
+            badFree();
+        const std::uint32_t next = pool_[index].next;
+        pool_[index].next = free_head_;
+        free_head_ = index;
+        --occupancy_;
+        return next;
+    }
 
     std::uint32_t capacity() const
     {
@@ -75,6 +113,8 @@ class SubentryStore
     const Stats& stats() const { return stats_; }
 
   private:
+    [[noreturn]] static void badFree();
+
     std::vector<Subentry> pool_;
     std::uint32_t free_head_ = kNoSubentry;
     std::uint32_t occupancy_ = 0;

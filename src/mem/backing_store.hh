@@ -82,10 +82,18 @@ class BackingStore
     void
     checkRange(Addr addr, std::size_t n) const
     {
-        if (addr + n > mem_.size())
-            panic("BackingStore access out of range: addr=" +
-                  std::to_string(addr) + " size=" + std::to_string(n) +
-                  " mem=" + std::to_string(mem_.size()));
+        if (addr + n > mem_.size()) [[unlikely]]
+            outOfRange(addr, n);
+    }
+
+    /** Cold path of checkRange(): kept out of line so the check
+     *  itself inlines into every access. */
+    [[noreturn]] [[gnu::noinline]] [[gnu::cold]] void
+    outOfRange(Addr addr, std::size_t n) const
+    {
+        panic("BackingStore access out of range: addr=" +
+              std::to_string(addr) + " size=" + std::to_string(n) +
+              " mem=" + std::to_string(mem_.size()));
     }
 
     std::vector<std::uint8_t> mem_;

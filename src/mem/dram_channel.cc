@@ -9,8 +9,11 @@ namespace gmoms
 {
 
 DramChannel::DramChannel(const Engine& engine, std::string name,
-                         const DramConfig& cfg, std::uint32_t num_ports)
-    : MemChannel(std::move(name)), engine_(engine), cfg_(cfg),
+                         MemKind kind, const DramConfig& cfg,
+                         std::uint32_t num_ports)
+    : Component(std::move(name)), engine_(engine), kind_(kind), cfg_(cfg),
+      same_bank_gap_(kind == MemKind::Hbm2 ? cfg.same_bank_gap_cycles : 0),
+      req_pending_(num_ports),
       open_row_(cfg.num_banks, std::numeric_limits<std::uint64_t>::max())
 {
     if (num_ports == 0)
@@ -18,14 +21,15 @@ DramChannel::DramChannel(const Engine& engine, std::string name,
     req_ports_.reserve(num_ports);
     resp_ports_.reserve(num_ports);
     for (std::uint32_t p = 0; p < num_ports; ++p) {
-        req_ports_.push_back(std::make_unique<TimedQueue<MemReq>>(
-            engine_, cfg.port_queue_depth, 1));
-        resp_ports_.push_back(std::make_unique<TimedQueue<MemResp>>(
-            engine_, cfg.resp_queue_depth, 1));
+        req_ports_.emplace_back(engine_, cfg.port_queue_depth, 1);
+        resp_ports_.emplace_back(engine_, cfg.resp_queue_depth, 1);
+    }
+    for (std::uint32_t p = 0; p < num_ports; ++p) {
         // Wake the channel when a request arrives and when a full
         // response queue frees a slot (delivery was backpressured).
-        req_ports_.back()->setConsumer(this);
-        resp_ports_.back()->setProducer(this);
+        req_ports_[p].setConsumer(this);
+        resp_ports_[p].setProducer(this);
+        req_pending_.track(req_ports_[p], p);
     }
 }
 
@@ -37,6 +41,11 @@ DramChannel::serviceCycles(const MemReq& req)
     const std::uint64_t row = req.addr / cfg_.row_bytes;
     const std::uint32_t bank =
         static_cast<std::uint32_t>(row % cfg_.num_banks);
+    if (bank == last_bank_ && same_bank_gap_ > 0) {
+        occupancy += same_bank_gap_;
+        bank_gap_cycles_ += same_bank_gap_;
+    }
+    last_bank_ = bank;
     if (open_row_[bank] == row) {
         ++stats_.row_hits;
     } else {
@@ -57,21 +66,22 @@ DramChannel::tick()
     // because latency is constant and bus service is serialized).
     while (!in_flight_.empty() && in_flight_.front().complete_at <= now) {
         InFlight& f = in_flight_.front();
-        if (!resp_ports_[f.port]->canPush())
+        if (!resp_ports_[f.port].canPush())
             break;  // backpressure: retry next cycle
-        resp_ports_[f.port]->push(f.resp);
+        resp_ports_[f.port].push(f.resp);
         in_flight_.pop_front();
     }
 
-    // Accept one new transaction per cycle, round-robin across ports.
+    // Accept one new transaction per cycle, round-robin across the
+    // ports that hold a request.
     if (bus_free_at_ > now)
         return;  // data bus still busy with the previous transaction
     const std::uint32_t n = numPorts();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t p = (next_port_ + i) % n;
-        TimedQueue<MemReq>& rq = *req_ports_[p];
+    req_pending_.forEachFrom(next_port_, [&](std::size_t i) {
+        const std::uint32_t p = static_cast<std::uint32_t>(i);
+        TimedQueue<MemReq>& rq = req_ports_[p];
         if (!rq.canPop())
-            continue;
+            return false;
         MemReq req = rq.pop();
         const Cycle start = std::max(now, bus_free_at_);
         const Cycle occupancy = serviceCycles(req);
@@ -87,9 +97,9 @@ DramChannel::tick()
         in_flight_.push_back(InFlight{
             MemResp{req.addr, req.bytes, req.tag, req.write}, p,
             bus_free_at_ + cfg_.load_latency_cycles});
-        next_port_ = (p + 1) % n;
-        break;
-    }
+        next_port_ = p + 1 == n ? 0 : p + 1;
+        return true;
+    });
 }
 
 Cycle
@@ -100,33 +110,28 @@ DramChannel::nextActivity() const
     if (!in_flight_.empty()) {
         if (in_flight_.front().complete_at > now)
             next = in_flight_.front().complete_at;
-        else if (resp_ports_[in_flight_.front().port]->canPush())
+        else if (resp_ports_[in_flight_.front().port].canPush())
             return 0;  // deliverable now (tick raced the wake)
         // else: blocked on a full response queue; its producer hook
         // (bound in the constructor) wakes us when a slot frees.
     }
-    for (const auto& rq : req_ports_) {
+    req_pending_.forEach([&](std::size_t p) {
         // In-flight requests count too: a token pushed toward us with
         // arrival cycle r can first be accepted at max(r, bus free),
         // and never before next cycle (we just ticked).
-        const Cycle r = rq->peekReadyCycle();
-        if (r != kCycleNever)
-            next = std::min(next,
-                            std::max({r, bus_free_at_, now + 1}));
-    }
+        const Cycle r = req_ports_[p].peekReadyCycle();
+        next = std::min(next, std::max({r, bus_free_at_, now + 1}));
+    });
     return next;
 }
 
 bool
 DramChannel::idle() const
 {
-    if (!in_flight_.empty())
+    if (!in_flight_.empty() || !req_pending_.none())
         return false;
-    for (const auto& rq : req_ports_)
-        if (!rq->empty())
-            return false;
     for (const auto& rp : resp_ports_)
-        if (!rp->empty())
+        if (!rp.empty())
             return false;
     return true;
 }
@@ -144,6 +149,8 @@ DramChannel::registerStats(StatRegistry& reg) const
     reg.addCounter(name() + ".busy_cycles", &stats_.busy_cycles);
     reg.addCounter(name() + ".row_miss_penalty_cycles",
                    &stats_.row_miss_penalty_cycles);
+    if (kind_ == MemKind::Hbm2)
+        reg.addCounter(name() + ".bank_gap_cycles", &bank_gap_cycles_);
 }
 
 void
@@ -152,14 +159,19 @@ DramChannel::registerTelemetry(Telemetry& tele)
     // No per-tick backpressure counting here: the delivery-retry loop
     // runs at different tick frequencies under the two engine modes,
     // so a per-tick counter would not be engine-mode exact. Row-miss
-    // penalty cycles are charged per transaction and are exact.
-    tele.addStall("dram", StallCause::RowMiss,
+    // penalty and bank-gap cycles are charged per transaction and are
+    // exact.
+    const bool hbm = kind_ == MemKind::Hbm2;
+    const std::string group = hbm ? name() : std::string("dram");
+    tele.addStall(group, StallCause::RowMiss,
                   &stats_.row_miss_penalty_cycles);
-    tele.addCounter("dram.bytes_read", &stats_.bytes_read);
-    tele.addCounter("dram.bytes_written", &stats_.bytes_written);
-    tele.addCounter("dram.busy_cycles", &stats_.busy_cycles);
-    tele.addCounter("dram.row_misses", &stats_.row_misses);
-    tele.addLevel("dram.in_flight", [this] {
+    if (hbm)
+        tele.addStall(group, StallCause::BankConflict, &bank_gap_cycles_);
+    tele.addCounter(group + ".bytes_read", &stats_.bytes_read);
+    tele.addCounter(group + ".bytes_written", &stats_.bytes_written);
+    tele.addCounter(group + ".busy_cycles", &stats_.busy_cycles);
+    tele.addCounter(group + ".row_misses", &stats_.row_misses);
+    tele.addLevel(group + ".in_flight", [this] {
         return static_cast<double>(in_flight_.size());
     });
     in_flight_.attachProbe(

@@ -2,8 +2,8 @@
  * @file
  * Pluggable external-memory substrate selection.
  *
- * A MemSubstrateConfig names the whole off-chip memory: which channel
- * model to instantiate (DDR4 channel vs HBM2 pseudo-channel), how many
+ * A MemSubstrateConfig names the whole off-chip memory: which kind of
+ * channel to model (DDR4 channel vs HBM2 pseudo-channel), how many
  * of them, the address-interleave granularity that stripes the flat
  * address space across them, and the per-channel timing/geometry knobs.
  *
@@ -35,11 +35,11 @@
 namespace gmoms
 {
 
-/** Which channel model MemorySystem instantiates. */
+/** Which substrate the DramChannels of a MemorySystem model. */
 enum class MemKind : std::uint8_t
 {
-    Ddr4 = 0,  //!< DramChannel: wide bus, large rows, coarse interleave
-    Hbm2 = 1,  //!< HbmChannel: narrow pseudo-channels, fine interleave
+    Ddr4 = 0,  //!< wide bus, large rows, coarse interleave
+    Hbm2 = 1,  //!< narrow pseudo-channels, fine interleave, bank gap
 };
 
 /** Human-readable kind name ("ddr4" / "hbm2"). */

@@ -1,9 +1,8 @@
 #include "src/mem/memory_system.hh"
 
 #include <algorithm>
+#include <bit>
 
-#include "src/mem/dram_channel.hh"
-#include "src/mem/hbm_channel.hh"
 #include "src/sim/log.hh"
 
 namespace gmoms
@@ -23,16 +22,27 @@ MemorySystem::MemorySystem(Engine& engine, const MemSubstrateConfig& cfg,
               std::to_string(kLineBytes) + ", " +
               std::to_string(kInterleaveBytes) + "] bytes; got " +
               std::to_string(cfg_.interleave_bytes));
+    if (cfg_.channels > 64)
+        fatal("MemorySystem supports at most 64 channels (one occupancy "
+              "word per port); got " + std::to_string(cfg_.channels));
+    interleave_shift_ = log2Exact(cfg_.interleave_bytes);
+    pow2_channels_ = isPow2(cfg_.channels);
     channels_.reserve(cfg_.channels);
     for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
-        const std::string name = name_prefix + cfg_.channelName(c);
-        if (cfg_.kind == MemKind::Hbm2)
-            channels_.push_back(std::make_unique<HbmChannel>(
-                engine, name, cfg_.timing, num_ports));
-        else
-            channels_.push_back(std::make_unique<DramChannel>(
-                engine, name, cfg_.timing, num_ports));
+        channels_.push_back(std::make_unique<DramChannel>(
+            engine, name_prefix + cfg_.channelName(c), cfg_.kind,
+            cfg_.timing, num_ports));
         engine.add(channels_.back().get());
+    }
+    resp_pending_.assign(num_ports, 0);
+    resp_table_.resize(static_cast<std::size_t>(num_ports) * cfg_.channels);
+    for (std::uint32_t p = 0; p < num_ports; ++p) {
+        for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
+            TimedQueue<MemResp>& q = channels_[c]->respPort(p);
+            resp_table_[static_cast<std::size_t>(p) * cfg_.channels + c] =
+                &q;
+            q.trackOccupancy(&resp_pending_[p], std::uint64_t{1} << c);
+        }
     }
 }
 
@@ -78,14 +88,23 @@ MemorySystem::idle() const
     return true;
 }
 
+MemPort::MemPort(MemorySystem* sys, std::uint32_t port_index)
+    : sys_(sys), resp_pending_(&sys->resp_pending_[port_index]),
+      resp_(&sys->resp_table_[static_cast<std::size_t>(port_index) *
+                               sys->numChannels()]),
+      port_(port_index)
+{
+}
+
 bool
 MemPort::send(const MemReq& req)
 {
-    const std::uint32_t il = sys_->cfg_.interleave_bytes;
     const Addr last = req.addr + req.bytes - 1;
-    if (req.addr / il != last / il)
+    if (req.addr >> sys_->interleave_shift_ !=
+        last >> sys_->interleave_shift_)
         panic("MemPort request crosses interleave boundary; the issuer "
-              "must split bursts at " + std::to_string(il) + " B");
+              "must split bursts at " +
+              std::to_string(sys_->cfg_.interleave_bytes) + " B");
     return sys_->channels_[sys_->channelOf(req.addr)]
         ->reqPort(port_).push(req);
 }
@@ -103,15 +122,21 @@ MemPort::interleaveBytes() const
 }
 
 std::optional<MemResp>
-MemPort::receive()
+MemPort::receivePending()
 {
-    const std::uint32_t n = sys_->numChannels();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t c = (rr_ + i) % n;
-        auto& q = sys_->channels_[c]->respPort(port_);
-        if (q.canPop()) {
-            rr_ = (c + 1) % n;
-            return q.pop();
+    const std::uint64_t pending = *resp_pending_;
+    // Round-robin from rr_ over the channels whose queue holds a
+    // token: first channels >= rr_, then the wrap-around below it.
+    const std::uint64_t from_rr = ~std::uint64_t{0} << rr_;
+    for (std::uint64_t bits : {pending & from_rr, pending & ~from_rr}) {
+        for (; bits != 0; bits &= bits - 1) {
+            const std::uint32_t c =
+                static_cast<std::uint32_t>(std::countr_zero(bits));
+            TimedQueue<MemResp>& q = *resp_[c];
+            if (q.canPop()) {
+                rr_ = c + 1 == sys_->numChannels() ? 0 : c + 1;
+                return q.pop();
+            }
         }
     }
     return std::nullopt;
@@ -123,19 +148,17 @@ MemPort::bindClient(Component* c)
     const std::uint32_t n = sys_->numChannels();
     for (std::uint32_t ch = 0; ch < n; ++ch) {
         sys_->channels_[ch]->reqPort(port_).setProducer(c);
-        sys_->channels_[ch]->respPort(port_).setConsumer(c);
+        resp_[ch]->setConsumer(c);
     }
 }
 
 Cycle
 MemPort::responseReadyCycle() const
 {
-    const std::uint32_t n = sys_->numChannels();
     Cycle next = kCycleNever;
-    for (std::uint32_t c = 0; c < n; ++c)
-        next = std::min(next,
-                        sys_->channels_[c]->respPort(port_)
-                            .peekReadyCycle());
+    for (std::uint64_t bits = *resp_pending_; bits != 0; bits &= bits - 1)
+        next = std::min(next, resp_[std::countr_zero(bits)]
+                                  ->peekReadyCycle());
     return next;
 }
 

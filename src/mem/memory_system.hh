@@ -4,8 +4,15 @@
  * interleave, with per-requester ports (Section IV-B of the paper).
  *
  * The substrate is pluggable: a MemSubstrateConfig picks the channel
- * model (DDR4 channels vs HBM2 pseudo-channels), the channel count and
- * the interleave granularity. Requesters only ever see MemPort.
+ * timing (DDR4 channels vs HBM2 pseudo-channels, one DramChannel model
+ * for both), the channel count and the interleave granularity.
+ * Requesters only ever see MemPort.
+ *
+ * Response polling touches only queues that hold tokens: every
+ * (port, channel) response queue keeps bit `channel` of its port's
+ * occupancy word set while it is non-empty, so MemPort::receive()
+ * costs one load when nothing is pending and never scans idle
+ * channels.
  */
 
 #ifndef GMOMS_MEM_MEMORY_SYSTEM_HH
@@ -18,7 +25,7 @@
 
 #include "src/mem/backing_store.hh"
 #include "src/mem/dram_config.hh"
-#include "src/mem/mem_channel.hh"
+#include "src/mem/dram_channel.hh"
 #include "src/mem/mem_substrate.hh"
 #include "src/sim/engine.hh"
 
@@ -31,16 +38,15 @@ class MemorySystem;
  * One requester's window onto all channels.
  *
  * send() routes by address to the owning channel; receive() polls the
- * requester's response queues round-robin. Requests must not cross an
- * interleave boundary — the issuing logic (DMA, MOMS bank) splits at
- * interleaveBytes().
+ * requester's non-empty response queues round-robin. Requests must not
+ * cross an interleave boundary — the issuing logic (DMA, MOMS bank)
+ * splits at interleaveBytes().
  */
 class MemPort
 {
   public:
     MemPort() = default;
-    MemPort(MemorySystem* sys, std::uint32_t port_index)
-        : sys_(sys), port_(port_index) {}
+    MemPort(MemorySystem* sys, std::uint32_t port_index);
 
     /** Try to issue @p req; false when the target channel port is full. */
     bool send(const MemReq& req);
@@ -48,8 +54,15 @@ class MemPort
     /** Whether a send to @p addr would be accepted this cycle. */
     bool canSend(Addr addr) const;
 
-    /** Pop one completed transaction, if any arrived. */
-    std::optional<MemResp> receive();
+    /** Pop one completed transaction, if any arrived. One load when
+     *  no response is queued on any channel. */
+    std::optional<MemResp>
+    receive()
+    {
+        if (*resp_pending_ == 0)
+            return std::nullopt;
+        return receivePending();
+    }
 
     /** Earliest cycle receive() may yield a response across all
      *  channels; kCycleNever when nothing is in flight in the response
@@ -68,9 +81,17 @@ class MemPort
     void bindClient(Component* c);
 
   private:
+    /** receive() when some channel's response queue holds a token. */
+    std::optional<MemResp> receivePending();
+
     MemorySystem* sys_ = nullptr;
+    /** This port's occupancy word: bit c set while channel c's
+     *  response queue for this port holds a token. */
+    const std::uint64_t* resp_pending_ = nullptr;
+    /** This port's row of the [port][channel] response-queue table. */
+    TimedQueue<MemResp>* const* resp_ = nullptr;
     std::uint32_t port_ = 0;
-    mutable std::uint32_t rr_ = 0;
+    std::uint32_t rr_ = 0;  //!< next channel in receive() rotation
 
     friend class MemorySystem;
 };
@@ -103,8 +124,10 @@ class MemorySystem
     std::uint32_t
     channelOf(Addr addr) const
     {
+        const Addr unit = addr >> interleave_shift_;
         return static_cast<std::uint32_t>(
-            (addr / cfg_.interleave_bytes) % channels_.size());
+            pow2_channels_ ? unit & (channels_.size() - 1)
+                           : unit % channels_.size());
     }
 
     MemPort port(std::uint32_t p) { return MemPort(this, p); }
@@ -121,8 +144,8 @@ class MemorySystem
 
     const MemSubstrateConfig& substrate() const { return cfg_; }
 
-    MemChannel& channel(std::uint32_t c) { return *channels_[c]; }
-    const MemChannel& channel(std::uint32_t c) const
+    DramChannel& channel(std::uint32_t c) { return *channels_[c]; }
+    const DramChannel& channel(std::uint32_t c) const
     {
         return *channels_[c];
     }
@@ -138,7 +161,13 @@ class MemorySystem
 
   private:
     MemSubstrateConfig cfg_;
-    std::vector<std::unique_ptr<MemChannel>> channels_;
+    std::uint32_t interleave_shift_ = 0;  //!< log2(interleave_bytes)
+    bool pow2_channels_ = false;
+    std::vector<std::unique_ptr<DramChannel>> channels_;
+    /** Per-port occupancy word over channels (see MemPort). */
+    std::vector<std::uint64_t> resp_pending_;
+    /** Response queues, [port * channels + channel]. */
+    std::vector<TimedQueue<MemResp>*> resp_table_;
     BackingStore store_;
 
     friend class MemPort;

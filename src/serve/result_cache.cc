@@ -28,15 +28,17 @@ ResultCache::slotBytes(const std::string& key, const Entry& e)
 }
 
 std::optional<ResultCache::Entry>
-ResultCache::get(const std::string& key, bool count_miss)
+ResultCache::get(const std::string& key, bool recheck)
 {
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
-        if (count_miss)
+        if (!recheck)
             ++stats_.misses;
         return std::nullopt;
     }
     ++stats_.hits;
+    if (recheck && stats_.misses > 0)
+        --stats_.misses;
     it->second.last_use = ++use_clock_;
     return it->second.entry;
 }

@@ -25,8 +25,9 @@
  *    when a worker dispatches it. A repeat hits once its first
  *    instance has *finished*: live repeat traffic hits at submit, and
  *    in a batch-mode burst of one spec only the copies dispatched
- *    before the first one finished simulate. The dispatch-time hit
- *    counts as a hit; its miss was already counted at submit.
+ *    before the first one finished simulate. A dispatch-time hit
+ *    counts as a hit and takes back the miss its submit counted, so
+ *    hits + misses is the number of jobs looked up.
  *
  * This is the serving layer's only result memo. Each job that does
  * simulate builds its own Session and prepared views; that costs
@@ -82,11 +83,12 @@ class ResultCache
     static std::string keyFor(const JobSpec& spec,
                               std::uint64_t fingerprint);
 
-    /** Lookup + LRU touch. A hit always counts; a miss counts unless
-     *  @p count_miss is false (a re-check of a key whose miss was
-     *  already counted). */
+    /** Lookup + LRU touch. A hit counts as a hit and a miss as a
+     *  miss — unless @p recheck: a re-check of a key whose miss was
+     *  already counted counts no second miss, and a hit takes that
+     *  earlier miss back, so every job counts exactly once. */
     std::optional<Entry> get(const std::string& key,
-                             bool count_miss = true);
+                             bool recheck = false);
 
     /** Insert (or refresh) @p key, then evict LRU entries over budget
      *  (never the one just inserted). Deterministic repeat runs always

@@ -395,12 +395,12 @@ GraphService::drainerLoop()
         job.rec.queue_seconds = job.admitted.elapsedSeconds();
 
         // A repeat whose twin finished while it queued replays instead
-        // of simulating. Its miss was already counted at submit, so a
-        // miss here is not counted again.
+        // of simulating. Its miss was already counted at submit: a
+        // miss here is not counted again, and a hit takes it back.
         if (result_cache_ && !job.result_key.empty()) {
             if (const std::optional<ResultCache::Entry> hit =
                     result_cache_->get(job.result_key,
-                                       /*count_miss=*/false)) {
+                                       /*recheck=*/true)) {
                 completeFromCache(job.rec, *hit);
                 job.rec.total_seconds = job.admitted.elapsedSeconds();
                 finishLocked(id, job);

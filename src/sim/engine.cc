@@ -47,6 +47,8 @@ Engine::add(Component* c)
     c->engine_ = this;
     c->engine_index_ = components_.size();
     components_.push_back(c);
+    if (profile_)
+        profile_->bind(components_);
     wake_.push_back(now_);  // new components start awake
     wake_min_ = std::min(wake_min_, now_);
     due_stamp_.push_back(kCycleNever);
@@ -55,12 +57,8 @@ Engine::add(Component* c)
 }
 
 void
-Engine::requestWake(Component* c, Cycle at)
+Engine::calendarWake(std::size_t i, Cycle at)
 {
-    if (c == nullptr || c->engine_ != this)
-        return;  // unbound/foreign components cannot be ticked anyway
-    ++stats_.wakes;
-    const std::size_t i = c->engine_index_;
     if (ticking_ && at <= now_) {
         // Same-cycle wakes are only exact for components the legacy
         // engine would still have ticked after the issuer this cycle
@@ -93,17 +91,43 @@ Engine::wakeAll()
 }
 
 void
+Engine::setHostProfile(HostProfile* profile)
+{
+    profile_ = profile;
+    if (profile_) {
+        profile_->bind(components_);
+        profile_->restart();
+    }
+}
+
+template <bool kProfile>
+void
 Engine::tickAllComponents()
 {
-    for (Component* c : components_)
-        c->tick();
+    if constexpr (kProfile)
+        profile_->enter();
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        components_[i]->tick();
+        if constexpr (kProfile)
+            profile_->leave(i);
+    }
 }
 
 void
 Engine::tick()
 {
+    if (profile_)
+        tickCycle<true>();
+    else
+        tickCycle<false>();
+}
+
+template <bool kProfile>
+void
+Engine::tickCycle()
+{
     if (full_tick_) {
-        tickAllComponents();
+        tickAllComponents<kProfile>();
         stats_.ticks_executed += components_.size();
         ++stats_.cycles;
         ++now_;
@@ -115,9 +139,9 @@ Engine::tick()
         // skipping was not paying for its bookkeeping, so run the
         // legacy schedule and leave the calendar stale — ticking
         // everything is exact by definition, and wake hooks that fire
-        // meanwhile only ever lower calendar entries, so they cannot
-        // cause a wrong fast-forward.
-        tickAllComponents();
+        // meanwhile are only counted (see requestWake()), so no
+        // calendar entry moves until the wakeAll() at the span's end.
+        tickAllComponents<kProfile>();
         stats_.ticks_executed += components_.size();
         ++stats_.cycles;
         ++now_;
@@ -150,7 +174,11 @@ Engine::tick()
     due_pos_ = 0;
     while (due_pos_ < due_.size()) {
         const std::size_t i = due_[due_pos_];
+        if constexpr (kProfile)
+            profile_->enter();
         components_[i]->tick();
+        if constexpr (kProfile)
+            profile_->leave(i);
         ++stats_.ticks_executed;
         // Long-active components are not re-queried every tick: extra
         // awake ticks are always exact (the full-tick engine runs them

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/host_profile.hh"
 #include "src/sim/types.hh"
 
 namespace gmoms
@@ -159,7 +160,23 @@ class Engine
      * legacy semantics for same-cycle backpressure release. Unregistered
      * components are ignored (they cannot be ticked anyway).
      */
-    void requestWake(Component* c, Cycle at);
+    void
+    requestWake(Component* c, Cycle at)
+    {
+        if (c == nullptr || c->engine_ != this)
+            return;  // unbound/foreign components cannot be ticked
+        ++stats_.wakes;
+        // Every component ticks every cycle in full-tick mode and in
+        // an adaptive full-tick span, and the span's end (or leaving
+        // full-tick mode) re-arms the whole calendar with wakeAll().
+        // The calendar's only reader meanwhile, runUntil()'s
+        // fast-forward, cannot fire after a span's first tick (no
+        // calendar entry is raised in a span), so dropping the wake
+        // is exact.
+        if (full_tick_ || now_ < adapt_full_until_)
+            return;
+        calendarWake(c->engine_index_, at);
+    }
 
     /** Null-safe wake helper for links that may be unbound. */
     static void
@@ -177,9 +194,24 @@ class Engine
      */
     void wakeAll();
 
-    /** Tick every component every cycle (the legacy engine). */
-    void setFullTick(bool full) { full_tick_ = full; }
+    /** Tick every component every cycle (the legacy engine). Leaving
+     *  full-tick mode re-arms every component: wakes are only counted,
+     *  not calendared, while everything ticks anyway. */
+    void
+    setFullTick(bool full)
+    {
+        if (full_tick_ && !full)
+            wakeAll();
+        full_tick_ = full;
+    }
     bool fullTick() const { return full_tick_; }
+
+    /**
+     * Attach (or detach, with nullptr) a host-time profile. It must
+     * outlive the engine's ticks while attached. Profiling only reads
+     * the host clock: simulated results are unchanged.
+     */
+    void setHostProfile(HostProfile* profile);
 
     const Stats& stats() const { return stats_; }
 
@@ -187,6 +219,9 @@ class Engine
     std::size_t numComponents() const { return components_.size(); }
 
   private:
+    /** Calendar part of requestWake() for component index @p i. */
+    void calendarWake(std::size_t i, Cycle at);
+
     /** Earliest calendar entry; kCycleNever when everything sleeps.
      *  O(1): wake_min_ is recomputed while the due list is built and
      *  folded on every later calendar write, so it is exact whenever
@@ -215,8 +250,14 @@ class Engine
      *  ticks after the component would first have slept. */
     static constexpr std::uint8_t kQueryDefer = 15;
 
+    /** One engine cycle; @p kProfile stamps the host profile around
+     *  every component tick. */
+    template <bool kProfile>
+    void tickCycle();
+
     /** Tick every component in index order (full-tick / adaptive
      *  spans). */
+    template <bool kProfile>
     void tickAllComponents();
 
     Cycle now_ = 0;
@@ -234,6 +275,7 @@ class Engine
     std::vector<std::size_t> due_;   //!< indices ticking this cycle, sorted
     std::size_t due_pos_ = 0;        //!< current position within due_
     bool ticking_ = false;
+    HostProfile* profile_ = nullptr;  //!< null unless profiling
     Stats stats_;
 };
 

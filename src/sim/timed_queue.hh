@@ -19,6 +19,12 @@
  * runUntil predicates) simply get no wakes — they are covered by the
  * engine's every-cycle predicate polling.
  *
+ * Occupancy hook for many-queue consumers: trackOccupancy() binds a
+ * caller-owned bit that the queue keeps set exactly while it holds a
+ * token (an OccupancySet word), so arbitration over dozens of queues
+ * touches only the non-empty ones. It costs one branch, taken only on
+ * the empty <-> non-empty edge of push()/pop().
+ *
  * Die crossings (Fig. 5 of the paper) are modelled by raising the latency
  * to the crossing delay and ensuring capacity >= latency + 2, mirroring the
  * paper's "queue needs at least four slots" observation for a 2-cycle
@@ -29,8 +35,9 @@
 #define GMOMS_SIM_TIMED_QUEUE_HH
 
 #include <cassert>
+#include <cstdint>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "src/sim/engine.hh"
 #include "src/sim/queue_probe.hh"
@@ -49,8 +56,9 @@ class TimedQueue
      * @param latency  Cycles between push and earliest pop (>= 1).
      */
     TimedQueue(const Engine& engine, std::size_t capacity, Cycle latency = 1)
-        : engine_(&engine), capacity_(capacity), latency_(latency),
-          ring_(capacity)
+        : engine_(&engine), ring_(new Slot[capacity]),
+          capacity_(static_cast<std::uint32_t>(capacity)),
+          latency_(static_cast<std::uint32_t>(latency))
     {
         assert(latency_ >= 1 && "zero-latency links break tick-order "
                "independence");
@@ -61,6 +69,20 @@ class TimedQueue
     void setProducer(Component* p) { producer_ = p; }
     /** Component woken when a pushed token becomes poppable. */
     void setConsumer(Component* c) { consumer_ = c; }
+
+    /** Keep @p mask set in @p *word exactly while the queue holds a
+     *  token (see OccupancySet::track); @p word must outlive the
+     *  queue's last push or pop. */
+    void
+    trackOccupancy(std::uint64_t* word, std::uint64_t mask)
+    {
+        occ_word_ = word;
+        occ_mask_ = mask;
+        if (size_ != 0)
+            *occ_word_ |= occ_mask_;
+        else
+            *occ_word_ &= ~occ_mask_;
+    }
 
     /** Attach an occupancy probe (telemetry); nullptr detaches. The
      *  probe must outlive the queue or be detached first. */
@@ -90,6 +112,8 @@ class TimedQueue
         Slot& slot = ring_[wrap(head_ + size_)];
         slot.item = std::move(item);
         slot.ready = engine_->now() + latency_;
+        if (size_ == 0 && occ_word_ != nullptr)
+            *occ_word_ |= occ_mask_;
         ++size_;
         if (probe_)
             probe_->onChange(engine_->now(), size_);
@@ -121,6 +145,8 @@ class TimedQueue
         T item = std::move(ring_[head_].item);
         head_ = wrap(head_ + 1);
         --size_;
+        if (size_ == 0 && occ_word_ != nullptr)
+            *occ_word_ &= ~occ_mask_;
         if (probe_)
             probe_->onChange(engine_->now(), size_);
         if (was_full)
@@ -148,20 +174,24 @@ class TimedQueue
         Cycle ready = 0;
     };
 
-    std::size_t wrap(std::size_t i) const
+    std::uint32_t wrap(std::uint32_t i) const
     {
         return i >= capacity_ ? i - capacity_ : i;
     }
 
+    // Everything push/pop/canPop read fits the first 64 bytes;
+    // producer_ is read only when a full queue is popped.
     const Engine* engine_;
-    std::size_t capacity_;
-    Cycle latency_;
-    std::vector<Slot> ring_;
-    Component* producer_ = nullptr;
+    std::unique_ptr<Slot[]> ring_;
+    std::uint32_t head_ = 0;  //!< index of the oldest token
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_;
+    std::uint32_t latency_;
+    std::uint64_t* occ_word_ = nullptr;  //!< see trackOccupancy()
+    std::uint64_t occ_mask_ = 0;
     Component* consumer_ = nullptr;
     QueueProbe* probe_ = nullptr;
-    std::size_t head_ = 0;  //!< index of the oldest token
-    std::size_t size_ = 0;
+    Component* producer_ = nullptr;
 };
 
 } // namespace gmoms

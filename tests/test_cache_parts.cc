@@ -15,6 +15,28 @@
 
 namespace gmoms
 {
+
+// The two MSHR organizations as typed-test parameters. Declared outside
+// the anonymous namespace: ctest names the typed tests after them
+// ("MshrFileTest.InsertFindErase<gmoms::CuckooMshr>").
+struct CuckooMshr
+{
+    static std::unique_ptr<MshrFile>
+    make()
+    {
+        return std::make_unique<MshrFile>(MshrFile::cuckoo(64, 4, 8));
+    }
+};
+
+struct AssocMshr
+{
+    static std::unique_ptr<MshrFile>
+    make()
+    {
+        return std::make_unique<MshrFile>(MshrFile::associative(16));
+    }
+};
+
 namespace
 {
 
@@ -85,22 +107,8 @@ template <typename T>
 class MshrFileTest : public ::testing::Test
 {
   public:
-    static std::unique_ptr<MshrFile> make();
+    static std::unique_ptr<MshrFile> make() { return T::make(); }
 };
-
-template <>
-std::unique_ptr<MshrFile>
-MshrFileTest<CuckooMshr>::make()
-{
-    return std::make_unique<CuckooMshr>(64, 4, 8);
-}
-
-template <>
-std::unique_ptr<MshrFile>
-MshrFileTest<AssocMshr>::make()
-{
-    return std::make_unique<AssocMshr>(16);
-}
 
 using MshrImpls = ::testing::Types<CuckooMshr, AssocMshr>;
 TYPED_TEST_SUITE(MshrFileTest, MshrImpls);
@@ -141,7 +149,7 @@ TYPED_TEST(MshrFileTest, ManyDistinctLines)
 
 TEST(AssocMshr, FailsWhenFull)
 {
-    AssocMshr file(4);
+    MshrFile file = MshrFile::associative(4);
     for (Addr i = 0; i < 4; ++i)
         ASSERT_NE(file.insert(i * kLineBytes), nullptr);
     EXPECT_EQ(file.insert(100 * kLineBytes), nullptr);
@@ -153,18 +161,26 @@ TEST(AssocMshr, FailsWhenFull)
 TEST(CuckooMshr, KicksRelocateWithoutLosingEntries)
 {
     // Small file forces kicks at moderate load.
-    CuckooMshr file(16, 2, 16);
+    MshrFile file = MshrFile::cuckoo(16, 2, 16);
     std::set<Addr> inserted;
     Rng rng(11);
-    while (inserted.size() < 10) {
+    // Keep inserting until at least 10 lines are in and some insert
+    // had to kick a resident.
+    for (int attempts = 0; attempts < 10000 &&
+                           (inserted.size() < 10 ||
+                            file.stats().cuckoo_kicks == 0);
+         ++attempts) {
         const Addr line = rng.below(1 << 16) * kLineBytes;
         if (inserted.count(line))
             continue;
         if (file.insert(line) != nullptr)
             inserted.insert(line);
     }
+    ASSERT_GT(file.stats().cuckoo_kicks, 0u) << "no insert kicked";
     for (Addr line : inserted)
         EXPECT_NE(file.find(line), nullptr) << line;
+    // The dense probe keys moved with the entries they index.
+    EXPECT_TRUE(file.keysMatchEntries());
 }
 
 TEST(CuckooMshr, FailedInsertIsFullyUndone)
@@ -172,7 +188,7 @@ TEST(CuckooMshr, FailedInsertIsFullyUndone)
     // Fill a tiny file until an insert fails, then verify every
     // previously inserted line is still findable (the kick chain must
     // have been unwound).
-    CuckooMshr file(8, 2, 4);
+    MshrFile file = MshrFile::cuckoo(8, 2, 4);
     std::set<Addr> inserted;
     Rng rng(13);
     bool failed = false;
@@ -190,18 +206,28 @@ TEST(CuckooMshr, FailedInsertIsFullyUndone)
     }
     ASSERT_TRUE(failed) << "test did not exercise the failure path";
     EXPECT_EQ(file.occupancy(), inserted.size());
+    // The dense probe keys were unwound with the entries they index.
+    EXPECT_TRUE(file.keysMatchEntries());
     for (Addr line : inserted) {
         MshrEntry* e = file.find(line);
         ASSERT_NE(e, nullptr);
+        EXPECT_EQ(e->line, line);
         EXPECT_EQ(e->subentry_count, static_cast<std::uint32_t>(line));
     }
+    // Erasing everything leaves only empty keys behind.
+    for (Addr line : inserted)
+        file.erase(line);
+    EXPECT_EQ(file.occupancy(), 0u);
+    EXPECT_TRUE(file.keysMatchEntries());
+    for (Addr line : inserted)
+        EXPECT_EQ(file.find(line), nullptr);
 }
 
 TEST(CuckooMshr, RejectsBadGeometry)
 {
-    EXPECT_THROW(CuckooMshr(10, 4, 8), FatalError);  // not divisible
-    EXPECT_THROW(CuckooMshr(12, 4, 8), FatalError);  // 3 not pow2
-    EXPECT_THROW(CuckooMshr(16, 0, 8), FatalError);
+    EXPECT_THROW(MshrFile::cuckoo(10, 4, 8), FatalError);  // not divisible
+    EXPECT_THROW(MshrFile::cuckoo(12, 4, 8), FatalError);  // 3 not pow2
+    EXPECT_THROW(MshrFile::cuckoo(16, 0, 8), FatalError);
 }
 
 TEST(SubentryStore, AppendsPreserveFifoOrder)

@@ -412,8 +412,9 @@ TEST(ServiceResultCache, QueuedRepeatsReplayAtDispatch)
     EXPECT_EQ(stats.completed, 3u);
     EXPECT_EQ(stats.result_cache_completed, 2u);
     EXPECT_EQ(stats.result_cache.hits, 2u);
-    // One miss per submit; the dispatch-time re-check adds none.
-    EXPECT_EQ(stats.result_cache.misses, 3u);
+    // Each job counts once: the simulated one as a miss, each
+    // dispatch-time replay as a hit that took back its submit miss.
+    EXPECT_EQ(stats.result_cache.misses, 1u);
     EXPECT_EQ(stats.result_cache.insertions, 1u);
     // Only the simulated job built (and fetched) the dataset.
     EXPECT_EQ(stats.cache.misses + stats.cache.hits, 1u);
@@ -442,6 +443,7 @@ TEST(ServiceResultCache, BatchBurstReplaysOnlyAfterATwinFinished)
     EXPECT_TRUE(service.poll(c.id)->from_cache);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.result_cache.hits, 1u);
+    EXPECT_EQ(stats.result_cache.misses, 2u);
     EXPECT_EQ(stats.result_cache_completed, 1u);
     EXPECT_EQ(stats.completed, 3u);
     EXPECT_EQ(service.poll(a.id)->values_checksum,
